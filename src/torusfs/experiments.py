@@ -341,7 +341,7 @@ def atom_train_spectrum(cfg: RandomAtomConfig, grid: Grid, draw: int = 0, smooth
                 continue
             idx, prof = _train_slice(n, z, smoothness)
             amp = cfg.amplitude(k) * 2.0**-z
-            freqs_slice = np.fft.fftfreq(n, d=1.0 / n)[idx]
+            freqs_slice = _lattice_freqs(n, idx)
             centers = (active + 0.5) * 2.0**-z
             phase_sum = np.exp(-2j * np.pi * np.outer(centers, freqs_slice)).sum(axis=0)
             spec[idx] += amp * prof * phase_sum
@@ -517,48 +517,84 @@ def khintchine_audit(coeffs, p: float, draws: int = 20000, seed: int = 0) -> Aud
 
 # Per-process caches for the large-grid fast paths.  Band windows and train
 # profiles vanish outside dyadic annuli, so only (index, value) slices are
-# kept.  Cleared per top-scale sweep; worker processes are short-lived.
-_CACHE: dict = {"weight": {}, "radii": {}, "band": {}, "base": {}, "train": {}}
+# kept.  One pool serves every top scale of an experiment, so each draw first
+# calls _caches_for(L): the caches are cleared whenever the top scale changes
+# and never hold more than one scale's lattices.
+_CACHE: dict = {"weight": {}, "band": {}, "base": {}, "train": {}, "lacunary": {}}
+_CACHE_TOP = None
 
 
-def _clear_caches() -> None:
-    for d in _CACHE.values():
-        d.clear()
+def _caches_for(top) -> None:
+    """Clear the caches when ``top`` differs from the top scale last seen."""
+    global _CACHE_TOP
+    if top != _CACHE_TOP:
+        for d in _CACHE.values():
+            d.clear()
+        _CACHE_TOP = top
 
 
-def _radii(n: int) -> np.ndarray:
-    r = _CACHE["radii"].get(n)
-    if r is None:
-        r = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-        _CACHE["radii"][n] = r
-    return r
+# Lattice frequencies are read off FFT-order indices: xi = i below n/2 and
+# i - n from n/2 on.  For a power-of-two n these floats are exactly numpy's
+# FFT sample frequencies, without building them over the whole lattice.
 
 
-def _stack_weight(n: int) -> np.ndarray:
-    """sum of squared band windows on the full lattice of size n (d = 1)."""
-    w = _CACHE["weight"].get(n)
-    if w is None:
-        lp = LPPartition(J=3)
-        r = _radii(n)
-        w = lp.base(r) ** 2
-        for k in range(1, int(np.log2(n)) + 1):
-            idx, vals = _band_slice(n, k)
-            w[idx] += vals**2
-        _CACHE["weight"][n] = w
-    return w
+def _lattice_radii(n: int, idx: np.ndarray) -> np.ndarray:
+    """|xi| at FFT-order indices of the size-n lattice."""
+    return np.minimum(idx, n - idx).astype(float)
 
 
-def _annulus_indices(n: int, lo: float, hi: float) -> np.ndarray:
-    """FFT-order indices of lattice frequencies with lo < |xi| (<=) hi."""
+def _lattice_freqs(n: int, idx: np.ndarray) -> np.ndarray:
+    """Signed xi at FFT-order indices of the size-n lattice."""
+    return np.where(idx < n // 2, idx, idx - n).astype(float)
+
+
+def _radial_to_fft(half: np.ndarray) -> np.ndarray:
+    """Radial values at |xi| = 0..n/2 gathered into FFT order on the size-n lattice."""
+    return np.concatenate([half, half[-2:0:-1]])
+
+
+def _annulus_radii(n: int, lo: float, hi: float) -> np.ndarray:
+    """Ascending lattice radii 0 < r <= n/2 with lo < r (<=) hi."""
     rlo = int(np.floor(lo)) + 1
     rhi = min(int(np.ceil(hi)) - 1, n // 2 - 1)
     if rhi < rlo:
         return np.empty(0, dtype=np.int64)
-    pos = np.arange(rlo, rhi + 1, dtype=np.int64)
-    out = [pos, n - pos]
-    if hi >= n // 2 and rlo <= n // 2:
-        out.append(np.array([n // 2], dtype=np.int64))
-    return np.concatenate(out)
+    r = np.arange(rlo, rhi + 1, dtype=np.int64)
+    if hi >= n // 2:
+        r = np.append(r, n // 2)
+    return r
+
+
+def _radial_slice(n: int, lo: float, hi: float, profile):
+    """(FFT-order indices, profile values) of the annulus lo < |xi| (<=) hi.
+
+    Indices run over the positive frequencies, then their negatives, then
+    the Nyquist frequency if it belongs; the profile is evaluated once per
+    radius and shared by both signs.
+    """
+    r = _annulus_radii(n, lo, hi)
+    vals = profile(r.astype(float))
+    k = np.searchsorted(r, n // 2)  # radii below the Nyquist frequency
+    idx = np.concatenate([r[:k], n - r[:k], r[k:]])
+    return idx, np.concatenate([vals[:k], vals[:k], vals[k:]])
+
+
+def _stack_weight(n: int) -> np.ndarray:
+    """sum of squared band windows on the full lattice of size n (d = 1).
+
+    Built once per radius 0..n/2, adding bands in increasing order, then
+    gathered into FFT order.
+    """
+    w = _CACHE["weight"].get(n)
+    if w is None:
+        lp = LPPartition(J=3)
+        half = lp.base(np.arange(n // 2 + 1, dtype=float)) ** 2
+        for k in range(1, int(np.log2(n)) + 1):
+            r = _annulus_radii(n, 2.0 ** (k - 1), 2.0 ** (k + 1))
+            half[r] += lp.mother(r / 2.0**k) ** 2
+        w = _radial_to_fft(half)
+        _CACHE["weight"][n] = w
+    return w
 
 
 def _band_slice(n: int, j: int):
@@ -567,9 +603,7 @@ def _band_slice(n: int, j: int):
     hit = _CACHE["band"].get(key)
     if hit is None:
         lp = LPPartition(J=3)
-        idx = _annulus_indices(n, 2.0 ** (j - 1), 2.0 ** (j + 1))
-        r = np.abs(np.fft.fftfreq(n, d=1.0 / n)[idx])
-        hit = (idx, lp.mother(r / 2.0**j))
+        hit = _radial_slice(n, 2.0 ** (j - 1), 2.0 ** (j + 1), lambda r: lp.mother(r / 2.0**j))
         _CACHE["band"][key] = hit
     return hit
 
@@ -577,9 +611,8 @@ def _band_slice(n: int, j: int):
 def _base_slice(n: int):
     hit = _CACHE["base"].get(n)
     if hit is None:
-        lp = LPPartition(J=3)
-        idx = np.concatenate([np.arange(0, 2, dtype=np.int64), n - np.arange(1, 2, dtype=np.int64)])
-        hit = (idx, lp.base(np.abs(np.fft.fftfreq(n, d=1.0 / n)[idx])))
+        idx = np.array([0, 1, n - 1], dtype=np.int64)
+        hit = (idx, LPPartition(J=3).base(_lattice_radii(n, idx)))
         _CACHE["base"][n] = hit
     return hit
 
@@ -589,9 +622,7 @@ def _train_slice(n: int, zeta: int, smoothness: int = 1):
     key = (n, zeta, smoothness)
     hit = _CACHE["train"].get(key)
     if hit is None:
-        idx = _annulus_indices(n, 2.0**zeta, 2.0 ** (zeta + 5))
-        r = np.abs(np.fft.fftfreq(n, d=1.0 / n)[idx])
-        hit = (idx, reproducing_profile(r / 2.0**zeta, smoothness))
+        hit = _radial_slice(n, 2.0**zeta, 2.0 ** (zeta + 5), lambda r: reproducing_profile(r / 2.0**zeta, smoothness))
         _CACHE["train"][key] = hit
     return hit
 
@@ -604,11 +635,10 @@ def _f22_norm(spec: np.ndarray) -> float:
 def _band_range(spec: np.ndarray, tol: float = 0.0) -> list:
     """Bands j whose annulus (2^(j-1), 2^(j+1)) holds spectrum mass."""
     n = len(spec)
-    r = _radii(n)
-    nz = np.abs(spec) > tol
-    if not np.any(nz):
+    nz = np.flatnonzero(np.abs(spec) > tol)
+    if nz.size == 0:
         return []
-    rnz = r[nz]
+    rnz = _lattice_radii(n, nz)
     rpos = rnz[rnz > 0]
     rmin = max(float(rpos.min()) if rpos.size else 1.0, 1.0)
     rmax = float(rnz.max())
@@ -638,6 +668,8 @@ def _mixed_norm(spec: np.ndarray, p: float, t: float, include_base: bool = True)
     Falls back to the spectral formula for p = t = 2; otherwise inverse
     transforms one band at a time (only bands carrying mass).
     """
+    import scipy.fft
+
     n = len(spec)
     if p == 2.0 and t == 2.0:
         return _f22_norm(spec)
@@ -645,7 +677,7 @@ def _mixed_norm(spec: np.ndarray, p: float, t: float, include_base: bool = True)
     buf = np.zeros(n, dtype=complex)
     for _, idx, piece in _band_pieces(spec, include_base):
         buf[idx] = piece
-        vals = np.abs(np.fft.ifft(buf) * n)
+        vals = np.abs(scipy.fft.ifft(buf, norm="forward"))
         buf[idx] = 0
         part = vals if np.isinf(t) else vals**t
         if stack is None:
@@ -664,6 +696,8 @@ def _mixed_norm(spec: np.ndarray, p: float, t: float, include_base: bool = True)
 
 def _band_lp_norms(spec: np.ndarray, p: float) -> dict:
     """Per-band L^p norms of a d = 1 spectrum (spectral for p = 2)."""
+    import scipy.fft
+
     n = len(spec)
     out = {}
     buf = np.zeros(n, dtype=complex)
@@ -672,7 +706,7 @@ def _band_lp_norms(spec: np.ndarray, p: float) -> dict:
             out[j] = float(np.linalg.norm(piece))
         else:
             buf[idx] = piece
-            vals = np.abs(np.fft.ifft(buf) * n)
+            vals = np.abs(scipy.fft.ifft(buf, norm="forward"))
             buf[idx] = 0
             out[j] = float(vals.max()) if np.isinf(p) else float(np.mean(vals**p) ** (1.0 / p))
     return out
@@ -687,6 +721,7 @@ def _fspace_draw(args) -> tuple:
     lac_args, atom_args, p, q, t, draw = args
     lac = LacunaryConfig(**lac_args)
     atoms = RandomAtomConfig(**atom_args)
+    _caches_for(atoms.L)
     n_in = 2 ** (atoms.zeta(atoms.L) + 6)
     grid_in = Grid(1, n_in)
     spec, actives = atom_train_spectrum(atoms, grid_in, draw)
@@ -700,11 +735,36 @@ def _fspace_draw(args) -> tuple:
     return (draw, in_norm**p, out_norm**p, uniq)
 
 
-def _run_tasks(worker, tasks, workers: int):
+def _run_tasks(worker, batches, workers: int) -> list:
+    """Sorted results of each (L, tasks) batch, every task through one pool.
+
+    Tasks go out one at a time, largest L first, so that the longest draws
+    do not trail at the end; results are regrouped by batch and sorted by
+    draw, so they do not depend on the worker count.
+    """
+    order = sorted(range(len(batches)), key=lambda i: -batches[i][0])
+    tasks = [task for i in order for task in batches[i][1]]
+    _caches_for(None)  # pool workers start from the parent's memory: keep it free of lattices
     if workers <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (8 * workers))))
+        flat = [worker(task) for task in tasks]
+    else:
+        import scipy.fft  # noqa: F401  (loaded before the fork, so that workers inherit it)
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            flat = list(pool.map(worker, tasks, chunksize=1))
+    results = iter(flat)
+    out = [None] * len(batches)
+    for i in order:
+        out[i] = sorted(next(results) for _ in batches[i][1])
+    return out
+
+
+def _check_L_list(lac: LacunaryConfig, L_list) -> list:
+    """The top scales to sweep (default k0..L); a growth slope needs two."""
+    L_list = list(range(lac.k0, lac.L + 1)) if L_list is None else list(L_list)
+    if len(L_list) < 2:
+        raise ValueError(f"L_list needs at least two top scales to fit a growth slope, got {L_list}")
+    return L_list
 
 
 def _fit_count_slope(counts, values) -> float:
@@ -736,23 +796,20 @@ def fspace_growth_experiment(
         raise ValueError("growth experiments are one-dimensional")
     if lac.spacing != atoms.spacing or lac.k0 != atoms.k0:
         raise ValueError("multiplier and train must share the scale map")
-    if L_list is None:
-        L_list = list(range(lac.k0, lac.L + 1))
+    L_list = _check_L_list(lac, L_list)
     rows = []
     draw_rows = []
     counts, in_vals, out_vals = [], [], []
     floor_min = np.inf
+    batches = []
     for L in L_list:
-        _clear_caches()
         lac_L = replace(lac, L=L)
         atoms_L = replace(atoms, L=L)
-        tasks = [
-            ({f.name: getattr(lac_L, f.name) for f in lac_L.__dataclass_fields__.values()},
-             {f.name: getattr(atoms_L, f.name) for f in atoms_L.__dataclass_fields__.values()},
-             p, q, t, draw)
-            for draw in range(draws)
-        ]
-        results = sorted(_run_tasks(_fspace_draw, tasks, workers))
+        lac_args = {f.name: getattr(lac_L, f.name) for f in lac_L.__dataclass_fields__.values()}
+        atom_args = {f.name: getattr(atoms_L, f.name) for f in atoms_L.__dataclass_fields__.values()}
+        batches.append((L, [(lac_args, atom_args, p, q, t, draw) for draw in range(draws)]))
+    for L, results in zip(L_list, _run_tasks(_fspace_draw, batches, workers)):
+        atoms_L = replace(atoms, L=L)
         draw_rows.extend(
             {"L": L, "draw": r[0], "input_norm": r[1] ** (1.0 / p), "output_norm": r[2] ** (1.0 / p)}
             for r in results
@@ -796,14 +853,19 @@ def fspace_growth_experiment(
 def _bspace_draw(args) -> tuple:
     lac_args, zc_pairs, t, draw = args
     lac = LacunaryConfig(**lac_args)
+    _caches_for(lac.L)
     n = 2 ** (lac.zeta(lac.L) + 5)
     grid = Grid(1, n)
     # only the multiplier's shell support matters, so the lacunary sum is
-    # assembled truncated on the smaller output lattice
-    radii = _radii(n)
-    spec = np.zeros(n, dtype=complex)
-    for z, c in zc_pairs:
-        spec += c * reproducing_profile(radii / 2.0**z)
+    # assembled truncated on the smaller output lattice; it is the same for
+    # every draw and radial, so it is built once per radius and cached
+    spec = _CACHE["lacunary"].get(zc_pairs)
+    if spec is None:
+        radii = np.arange(n // 2 + 1, dtype=float)
+        half = np.zeros(n // 2 + 1, dtype=complex)
+        for z, c in zc_pairs:
+            half += c * reproducing_profile(radii / 2.0**z)
+        spec = _CACHE["lacunary"][zc_pairs] = _radial_to_fft(half)
     mult = multiplier_on_lattice(lac, grid, draw)
     out_spec = mult * spec
     norms = _band_lp_norms(out_spec, 2.0)
@@ -838,14 +900,14 @@ def bspace_growth_experiment(
         raise ValueError("the band-norm experiment is pinned to p = 2 (spectral evaluation)")
     if lac.d != 1:
         raise ValueError("one-dimensional")
-    if L_list is None:
-        L_list = list(range(lac.k0, lac.L + 1))
+    L_list = _check_L_list(lac, L_list)
     designed_eps = (1.0 / t - 1.0 / q) if coeff_mode == "flat" else None
     rows = []
     draw_rows = []
     counts, in_vals, out_vals = [], [], []
+    raw_ins, batches = [], []
     for L in L_list:
-        _clear_caches()
+        _caches_for(L)
         lac_L = replace(lac, L=L)
         atoms_L = replace(atoms, L=L)
         coeffs = lacunary_coeffs(atoms_L, q, coeff_mode)
@@ -855,11 +917,12 @@ def bspace_growth_experiment(
         ks = sorted(in_band)
         raw_in = float(np.sum([in_band[j] ** q for j in ks]) ** (1.0 / q)) if not np.isinf(q) else max(in_band.values())
         coeffs = {k: c / raw_in for k, c in coeffs.items()}  # calibrate the input norm to 1
-        in_norm = 1.0
+        raw_ins.append(raw_in)
         lac_args = {f.name: getattr(lac_L, f.name) for f in lac_L.__dataclass_fields__.values()}
         zc_pairs = tuple((atoms_L.zeta(k), coeffs[k]) for k in atoms_L.scales())
-        tasks = [(lac_args, zc_pairs, t, draw) for draw in range(draws)]
-        results = sorted(_run_tasks(_bspace_draw, tasks, workers))
+        batches.append((L, [(lac_args, zc_pairs, t, draw) for draw in range(draws)]))
+    for L, raw_in, results in zip(L_list, raw_ins, _run_tasks(_bspace_draw, batches, workers)):
+        in_norm = 1.0
         moments = []
         for draw, norms in results:
             js = sorted(norms)

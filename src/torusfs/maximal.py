@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .dyadic import block_reduce, expand_blocks, grid_depth
 from .grid import Grid, GridFunction
@@ -80,6 +79,8 @@ def hl_maximal(f: GridFunction, variant: str = "centered", t: float = 1.0) -> Gr
         for mu in range(depth + 1):
             np.maximum(acc, expand_blocks(block_reduce(a, mu), n), out=acc)
     elif variant == "centered":
+        from scipy import ndimage
+
         acc = a.copy()  # width-1 window: the point itself
         np.maximum(acc, a.mean(), out=acc)  # the whole torus
         for w in range(3, n, 2):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from torusfs.cli import main
+from torusfs.cli import _SUITES, main
 from torusfs.grid import load_gridfunction, make_grid, save_gridfunction
 from torusfs.maximal import band_limited_function
 from torusfs.registry import list_registry, make_symbol, make_test_function
@@ -72,6 +72,16 @@ def test_audit_exit_codes(tmp_path):
     assert main(["audit", "--suite", "partition", "--outdir", str(tmp_path)]) == 0
     assert (tmp_path / "audit-partition.json").exists()
     assert main(["audit", "--suite", "nope", "--outdir", str(tmp_path)]) == 2
+
+
+def test_audit_every_suite_exits_zero(tmp_path):
+    # the necessity runs are audits outside their hypotheses: they must fail
+    assert main(["audit", "--suite", "all", "--trials", "2", "--seed", "1", "--outdir", str(tmp_path)]) == 0
+    reports = {p.stem: json.loads(p.read_text()) for p in tmp_path.glob("audit-*.json")}
+    for suite in _SUITES:
+        assert any(stem == f"audit-{suite}" or stem.startswith(f"audit-{suite}-") for stem in reports), suite
+    not_passed = {stem for stem, rep in reports.items() if not rep["passed"]}
+    assert not_passed == {"audit-peetre-1", "audit-vector-maximal-1", "audit-cube-tail-1"}
 
 
 def test_config_file_merging_and_errors(tmp_path, sample_input):

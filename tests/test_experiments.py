@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from torusfs import experiments
 from torusfs.grid import GridFunction, make_grid
 from torusfs.littlewood_paley import build_partition
 from torusfs.experiments import (
@@ -287,6 +289,74 @@ def test_bspace_growth_small():
     atoms3 = RandomAtomConfig(L=4, spacing=3, p=2.0, seed=3, k0=1)
     rep_flat = bspace_growth_experiment(lac3, atoms3, p=2.0, q=2.0, t=2.0, draws=40)
     assert abs(rep_flat.details["output_slope"]) < 0.25
+
+
+def test_growth_experiments_reject_single_L():
+    lac = LacunaryConfig(L=5, spacing=2, seed=0)
+    atoms = RandomAtomConfig(L=5, spacing=2, seed=0)
+    with pytest.raises(ValueError, match="two top scales"):
+        fspace_growth_experiment(lac, atoms, 2.0, 2.0, 1.0, draws=2, L_list=[5])
+    with pytest.raises(ValueError, match="two top scales"):
+        bspace_growth_experiment(lac, atoms, 2.0, 2.0, 1.0, draws=2, L_list=[5])
+
+
+def test_growth_reports_identical_serial_and_pooled():
+    lac = LacunaryConfig(L=5, spacing=2, m=0.0, seed=31)
+    atoms = RandomAtomConfig(L=5, spacing=2, p=2.0, seed=31)
+    for experiment in (fspace_growth_experiment, bspace_growth_experiment):
+        serial = experiment(lac, atoms, 2.0, 2.0, 1.0, draws=4, L_list=[3, 4, 5], workers=1)
+        pooled = experiment(lac, atoms, 2.0, 2.0, 1.0, draws=4, L_list=[3, 4, 5], workers=2)
+        assert serial.to_json() == pooled.to_json()
+
+
+def _dense_radii(n):
+    return np.abs(np.fft.fftfreq(n, d=1.0 / n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(log_n=st.integers(3, 18), j=st.integers(1, 19))
+def test_lattice_frequencies_from_indices_are_exact(log_n, j):
+    n = 2**log_n
+    experiments._caches_for(None)
+    idx, vals = experiments._band_slice(n, j)
+    r = _dense_radii(n)
+    # the slice is the band's annulus, plus the Nyquist radius where the band reaches it
+    annulus = (r > 2.0 ** (j - 1)) & ((r < 2.0 ** (j + 1)) | ((r == n // 2) & (2.0 ** (j + 1) >= n // 2)))
+    assert np.array_equal(np.sort(idx), np.flatnonzero(annulus))
+    assert np.array_equal(vals, build_partition(3).mother(r[idx] / 2.0**j))
+    for sample in (idx, np.arange(n)):
+        assert np.array_equal(experiments._lattice_radii(n, sample), r[sample])
+        assert np.array_equal(experiments._lattice_freqs(n, sample), np.fft.fftfreq(n, d=1.0 / n)[sample])
+
+
+@settings(max_examples=16, deadline=None)
+@given(log_n=st.integers(3, 18))
+def test_stack_weight_matches_dense_construction(log_n):
+    n = 2**log_n
+    experiments._caches_for(None)
+    lp = build_partition(3)
+    r = _dense_radii(n)
+    dense = lp.base(r) ** 2
+    for k in range(1, log_n + 1):
+        dense += lp.mother(r / 2.0**k) ** 2
+    assert np.array_equal(experiments._stack_weight(n), dense)
+
+
+@settings(max_examples=20, deadline=None)
+@given(log_n=st.integers(3, 12), seed=st.integers(0, 2**16))
+def test_mixed_norm_matches_dense_band_transforms(log_n, seed):
+    n = 2**log_n
+    experiments._caches_for(None)
+    rng = np.random.default_rng(seed)
+    spec = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (rng.random(n) < 0.3)
+    lp = build_partition(3)
+    r = _dense_radii(n)
+    stack = np.abs(np.fft.ifft(spec * lp.base(r)) * n)
+    for j in range(1, log_n + 1):
+        stack += np.abs(np.fft.ifft(spec * lp.mother(r / 2.0**j)) * n)
+    dense = float(np.mean(stack**2) ** 0.5)
+    got = experiments._mixed_norm(spec, 2.0, 1.0)
+    assert abs(got - dense) <= 1e-12 * dense
 
 
 def test_bspace_rejects_non_spectral_p():
