@@ -7,9 +7,9 @@ the sharpness of the mapping exponents -- all realized exactly on uniform
 grids over the torus, with seeded, reproducible audits.
 """
 
-from .grid import Grid, GridFunction, convolve, forward_transform, inverse_transform, load_gridfunction, make_grid, save_gridfunction, upsample
+from .grid import Grid, GridFunction, convolve, load_gridfunction, make_grid, save_gridfunction, upsample
 from .littlewood_paley import LPPartition, band_project, build_partition, check_partition
-from .dyadic import DyadicCube, cubes_at_scale
+from .dyadic import DyadicCube
 from .maximal import PeetreParams, dyadic_sharp, hl_maximal, peetre_maximal, vector_sharp
 from .spaces import (
     AtomicDecomposition,

@@ -23,7 +23,7 @@ from . import experiments, maximal, pseudo, spaces
 from .grid import Grid, GridFunction, load_gridfunction, save_gridfunction
 from .littlewood_paley import build_partition, check_partition, export_profiles_csv
 from .registry import list_registry, make_symbol, make_test_function
-from .report import AuditReport, write_report_json, write_table_csv
+from .report import AuditReport, write_table_csv
 
 __all__ = ["main", "run_config"]
 

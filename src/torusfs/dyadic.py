@@ -9,12 +9,11 @@ reshape-reductions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DyadicCube", "cubes_at_scale", "block_reduce", "expand_blocks", "grid_depth"]
+__all__ = ["DyadicCube", "block_reduce", "expand_blocks", "grid_depth"]
 
 
 @dataclass(frozen=True)
@@ -36,43 +35,8 @@ class DyadicCube:
         object.__setattr__(self, "offset", off)
 
     @property
-    def side(self) -> float:
-        return 2.0**-self.k
-
-    @property
     def volume(self) -> float:
         return 2.0 ** (-self.k * self.dim)
-
-    @property
-    def lower_corner(self) -> tuple:
-        return tuple(o * self.side for o in self.offset)
-
-    @property
-    def center(self) -> tuple:
-        return tuple((o + 0.5) * self.side for o in self.offset)
-
-    def parent(self) -> "DyadicCube":
-        if self.k == 0:
-            raise ValueError("unit cube has no parent inside the torus")
-        return DyadicCube(self.k - 1, tuple(o // 2 for o in self.offset), self.dim)
-
-    def children(self) -> list:
-        kids = []
-        for bits in itertools.product((0, 1), repeat=self.dim):
-            kids.append(DyadicCube(self.k + 1, tuple(2 * o + b for o, b in zip(self.offset, bits)), self.dim))
-        return kids
-
-    def contains(self, other: "DyadicCube") -> bool:
-        """Whether ``other`` is a (not necessarily proper) subcube."""
-        if other.dim != self.dim or other.k < self.k:
-            return False
-        shift = other.k - self.k
-        return all(o >> shift == s for o, s in zip(other.offset, self.offset))
-
-    def contains_point(self, x) -> bool:
-        x = np.atleast_1d(np.asarray(x, dtype=float)) % 1.0
-        lo = np.array(self.lower_corner)
-        return bool(np.all((x >= lo) & (x < lo + self.side)))
 
     def sample_slices(self, n: int) -> tuple:
         """Index slices selecting this cube's samples in an (n,)*dim array."""
@@ -80,12 +44,6 @@ class DyadicCube:
         if w << self.k != n:
             raise ValueError(f"grid n={n} does not resolve scale {self.k}")
         return tuple(slice(o * w, (o + 1) * w) for o in self.offset)
-
-
-def cubes_at_scale(k: int, dim: int):
-    """Iterate all dyadic cubes of side 2^-k in the torus."""
-    for off in itertools.product(range(2**k), repeat=dim):
-        yield DyadicCube(k, off, dim)
 
 
 def grid_depth(n: int) -> int:

@@ -33,8 +33,6 @@ __all__ = [
     "Grid",
     "GridFunction",
     "make_grid",
-    "forward_transform",
-    "inverse_transform",
     "convolve",
     "save_gridfunction",
     "load_gridfunction",
@@ -224,18 +222,6 @@ class GridFunction:
 def make_grid(dim: int, n: int, period: float = 1.0) -> Grid:
     """Construct a grid, validating dim in {1, 2} and n a power of two >= 8."""
     return Grid(dim=dim, n=n, period=period)
-
-
-def forward_transform(f: GridFunction) -> GridFunction:
-    """Return f with spectrum computed (e^{-2 pi i <x, xi>} convention)."""
-    f.spectrum
-    return f
-
-
-def inverse_transform(f: GridFunction) -> GridFunction:
-    """Return f with samples computed from its spectrum."""
-    f.samples
-    return f
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

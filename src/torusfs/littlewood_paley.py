@@ -118,15 +118,6 @@ class LPPartition:
                 self._window_cache[key] = w
         return w
 
-    def wide_window(self, grid: Grid, k: int) -> np.ndarray:
-        w = self.wide_profile(k, grid.freq_radii())
-        w.flags.writeable = False
-        return w
-
-    def max_band(self, grid: Grid) -> int:
-        """Largest band fully resolved by the grid (2^(k+1) <= Nyquist)."""
-        return min(self.J, int(np.floor(np.log2(grid.nyquist))) - 1)
-
 
 def build_partition(J: int, smoothness: int = 1) -> LPPartition:
     """Build a J-band partition; see :class:`LPPartition` for the contract."""

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dyadic import block_reduce, expand_blocks, grid_depth
 from .grid import Grid, GridFunction
-from .report import AuditReport
+from .report import AuditReport, _drift, _fit_slope
 
 __all__ = [
     "PeetreParams",
@@ -198,19 +198,6 @@ def band_limited_function(grid: Grid, radius: float, rng=None, kind: str = "rand
     idx = tuple(pts[:, i] % grid.n for i in range(grid.dim))
     spec[idx] = coeffs
     return GridFunction.from_spectrum(grid, spec)
-
-
-def _fit_slope(ks, values) -> float:
-    """Least-squares slope of log2(values) against ks."""
-    v = np.asarray(values, dtype=float)
-    if np.any(v <= 0):
-        return float("inf")
-    return float(np.polyfit(np.asarray(ks, dtype=float), np.log2(v), 1)[0])
-
-
-def _drift(values) -> float:
-    v = np.asarray(values, dtype=float)
-    return float(v.max() / v.min() - 1.0) if v.min() > 0 else float("inf")
 
 
 def _safe_ratio_max(num: np.ndarray, den: np.ndarray) -> float:

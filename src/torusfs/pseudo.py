@@ -27,7 +27,7 @@ import numpy as np
 from .dyadic import block_reduce
 from .grid import Grid, GridFunction
 from .littlewood_paley import LPPartition
-from .report import AuditReport
+from .report import AuditReport, _fit_slope
 
 __all__ = [
     "Symbol",
@@ -603,7 +603,7 @@ def audit_single_band(
                     best = max(best, num / den)
         ratios.append(best)
         rows.append({"band": k, "ratio": best})
-    slope = float(np.polyfit(np.asarray(ks, dtype=float), np.log2(ratios), 1)[0])
+    slope = _fit_slope(ks, ratios)
     expected = a.order + d * abs(0.5 - (0.0 if np.isinf(r) else 1.0 / r))
     if exact:
         passed = abs(slope - a.order) <= 0.1
@@ -673,7 +673,7 @@ def audit_local_energy(
             xs.append(k - mu)
             ys.append(worst)
             sup_c = max(sup_c, worst / 2.0 ** (-eps * (k - mu)))
-    slope = float(np.polyfit(np.asarray(xs, dtype=float), np.log2(ys), 1)[0])
+    slope = _fit_slope(xs, ys)
     eps_hat = -slope
     return AuditReport(
         name="local-energy-decay",
@@ -716,7 +716,7 @@ def audit_kernel_bounds(
             if alpha == 0:
                 alpha0.append(bound)
         rows.append(row)
-    slope = float(np.polyfit(np.asarray(ks, dtype=float), np.log2(alpha0), 1)[0])
+    slope = _fit_slope(ks, alpha0)
     expected = a.order + grid.dim / 2.0
     passed = abs(slope - expected) <= 0.15 and leak_max < 1e-10
     return AuditReport(

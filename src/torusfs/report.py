@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["AuditReport", "write_report_json", "write_table_csv"]
+__all__ = ["AuditReport", "write_table_csv"]
 
 SCHEMA = "torusfs-audit-report/1"
 
@@ -90,9 +90,18 @@ class AuditReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def write_report_json(report: AuditReport, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(report.to_json())
+def _fit_slope(ks, values) -> float:
+    """Least-squares slope of log2(values) against ks."""
+    v = np.asarray(values, dtype=float)
+    if np.any(v <= 0):
+        return float("inf")
+    return float(np.polyfit(np.asarray(ks, dtype=float), np.log2(v), 1)[0])
+
+
+def _drift(values) -> float:
+    """Relative spread max/min - 1 of positive values."""
+    v = np.asarray(values, dtype=float)
+    return float(v.max() / v.min() - 1.0) if v.min() > 0 else float("inf")
 
 
 def write_table_csv(rows: list, path) -> None:

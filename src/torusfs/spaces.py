@@ -14,7 +14,6 @@ bounded-block atoms for p <= 1, and a stopping-cube atomic decomposition.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,7 +23,7 @@ from .dyadic import DyadicCube, block_reduce, expand_blocks, grid_depth
 from .grid import Grid, GridFunction, upsample
 from .littlewood_paley import LPPartition, band_project
 from .maximal import band_limited_function, vector_sharp
-from .report import AuditReport
+from .report import AuditReport, _drift
 
 __all__ = [
     "SpaceParams",
@@ -140,75 +139,91 @@ def triebel_infty_norm(f: GridFunction, partition: LPPartition, s: float, q: flo
 class CoeffField:
     """Complex coefficients indexed by dyadic cubes of side <= 1.
 
-    Entries are stored sparsely as ``{(k, offset): value}``; ``max_depth``
-    is the finest scale carried (declared, or inferred from the support).
+    Stored densely, one complex array per scale: ``levels[k]`` has shape
+    ``(2^k,)*dim`` and holds the coefficient of the scale-k cube at each
+    offset, for k = 0..max_depth.  Setting a coefficient finer than
+    ``max_depth`` appends zero levels down to its scale; a cube that was
+    never set reads 0.  ``entries``, iteration, ``len`` and ``to_rows``
+    cover the nonzero coefficients in (k, offset) order.
     """
 
     def __init__(self, dim: int, entries: dict | None = None, max_depth: int | None = None):
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         self.dim = dim
-        self.entries: dict = {}
-        if entries:
-            for (k, off), v in entries.items():
-                self[(k, off)] = v
-        self._declared_depth = max_depth
+        self.levels: list = []
+        self._grow(max_depth or 0)
+        for key, v in (entries or {}).items():
+            self[key] = v
+
+    @classmethod
+    def _of_levels(cls, dim: int, levels: list) -> "CoeffField":
+        out = cls(dim)
+        out.levels = levels
+        return out
+
+    def _grow(self, k: int) -> None:
+        self.levels.extend(np.zeros((2**j,) * self.dim, dtype=complex) for j in range(len(self.levels), k + 1))
+
+    def _cube(self, key) -> DyadicCube:
+        k, off = key
+        return DyadicCube(int(k), tuple(int(o) for o in np.atleast_1d(off)), self.dim)
 
     def __setitem__(self, key, value):
-        k, off = key
-        cube = DyadicCube(int(k), tuple(int(o) for o in np.atleast_1d(off)), self.dim)
-        self.entries[(cube.k, cube.offset)] = complex(value)
+        cube = self._cube(key)
+        self._grow(cube.k)
+        self.levels[cube.k][cube.offset] = value
 
     def __getitem__(self, key):
-        k, off = key
-        return self.entries.get((int(k), tuple(int(o) for o in np.atleast_1d(off))), 0j)
+        try:
+            cube = self._cube(key)
+        except ValueError:
+            return 0j
+        return complex(self.levels[cube.k][cube.offset]) if cube.k <= self.max_depth else 0j
+
+    @property
+    def entries(self) -> dict:
+        """The nonzero coefficients as ``{(k, offset): value}``."""
+        return {
+            (k, tuple(int(o) for o in off)): complex(level[off])
+            for k, level in enumerate(self.levels)
+            for off in zip(*np.nonzero(level))
+        }
 
     def __iter__(self):
-        return iter(sorted(self.entries.items()))
+        return iter(self.entries.items())
 
     def __len__(self):
-        return len(self.entries)
+        return sum(int(np.count_nonzero(level)) for level in self.levels)
 
     @property
     def max_depth(self) -> int:
-        inferred = max((k for (k, _) in self.entries), default=0)
-        if self._declared_depth is None:
-            return inferred
-        return max(self._declared_depth, inferred)
-
-    def cubes(self):
-        return [DyadicCube(k, off, self.dim) for (k, off) in sorted(self.entries)]
-
-    def copy(self) -> "CoeffField":
-        return CoeffField(self.dim, dict(self.entries), self._declared_depth)
+        return len(self.levels) - 1
 
     def scaled(self, c: complex) -> "CoeffField":
-        return CoeffField(self.dim, {key: c * v for key, v in self.entries.items()}, self._declared_depth)
+        return CoeffField._of_levels(self.dim, [c * level for level in self.levels])
 
     def add(self, other: "CoeffField") -> "CoeffField":
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        out = self.copy()
-        for key, v in other.entries.items():
-            out.entries[key] = out.entries.get(key, 0j) + v
+        out = CoeffField(self.dim, max_depth=max(self.max_depth, other.max_depth))
+        for part in (self, other):
+            for k, level in enumerate(part.levels):
+                out.levels[k] += level
         return out
 
-    def g_field(self, sp: SpaceParams, depth: int | None = None) -> np.ndarray:
+    def g_field(self, sp: SpaceParams) -> np.ndarray:
         """g^{s,q} evaluated on the finest cell lattice (exact; the function
-        is piecewise constant on cells of side 2^-depth)."""
-        K = self.max_depth if depth is None else depth
-        shape = (2**K,) * self.dim
+        is piecewise constant on cells of side 2^-max_depth)."""
+        n = 2**self.max_depth
         q = sp.q
-        acc = np.zeros(shape)
-        for (k, off), v in self.entries.items():
-            if v == 0:
-                continue
-            w = 2.0 ** (k * (sp.s + self.dim / 2.0)) * abs(v)
-            sl = DyadicCube(k, off, self.dim).sample_slices(2**K)
+        acc = np.zeros((n,) * self.dim)
+        for k, level in enumerate(self.levels):
+            w = 2.0 ** (k * (sp.s + self.dim / 2.0)) * np.abs(level)
             if np.isinf(q):
-                np.maximum(acc[sl], w, out=acc[sl])
+                np.maximum(acc, expand_blocks(w, n), out=acc)
             else:
-                acc[sl] += w**q
+                acc += expand_blocks(w**q, n)
         return acc if np.isinf(q) else acc ** (1.0 / q)
 
     def to_rows(self) -> list:
@@ -233,8 +248,6 @@ class CoeffField:
 
 def sequence_norm(b: CoeffField, sp: SpaceParams) -> float:
     """L^p norm of g^{s,q}(b); exact piecewise-constant quadrature."""
-    if len(b) == 0:
-        return 0.0
     g = b.g_field(sp)
     if np.isinf(sp.p):
         return float(g.max())
@@ -262,8 +275,7 @@ class PhiTransformFamily:
     exact on the covered range and makes analysis sampling alias-free, at
     the price of re-anchoring the window annuli two octaves below the raw
     band annuli (recorded in ``support_annulus``/``coverage_annulus``).
-    Analysis and synthesis windows coincide (a tight frame), so the dual
-    accessors return the same profiles.
+    Analysis and synthesis windows coincide (a tight frame).
     """
 
     lp: LPPartition
@@ -335,10 +347,6 @@ class PhiTransformFamily:
         out[r > 2.0 * self.scale] = 0.0
         return out
 
-    # analysis and synthesis coincide (tight frame)
-    theta_dual = theta
-    theta0_dual = theta0
-
     def window(self, k: int, r):
         if k == 0:
             return self.theta0(r)
@@ -376,16 +384,13 @@ def phi_analyze(f: GridFunction, fam: PhiTransformFamily, max_depth: int) -> Coe
     if 2**max_depth > grid.n:
         raise ValueError(f"max_depth {max_depth} exceeds grid depth {grid_depth(grid.n)}")
     radii = grid.freq_radii()
-    out = CoeffField(grid.dim, max_depth=max_depth)
+    levels = []
     for k in range(max_depth + 1):
         corr = f.spectrum * fam.window(k, radii)
         m = 2**k
         vals = np.fft.ifftn(_fold_spectrum(corr, m)) * m**grid.dim
-        w = 2.0 ** (-k * grid.dim / 2.0)
-        it = np.ndindex(vals.shape) if grid.dim == 2 else ((i,) for i in range(m))
-        for off in it:
-            out[(k, off)] = w * vals[off]
-    return out
+        levels.append(vals * 2.0 ** (-k * grid.dim / 2.0))
+    return CoeffField._of_levels(grid.dim, levels)
 
 
 def phi_synthesize(v: CoeffField, fam: PhiTransformFamily, grid: Grid) -> GridFunction:
@@ -394,16 +399,12 @@ def phi_synthesize(v: CoeffField, fam: PhiTransformFamily, grid: Grid) -> GridFu
         raise ValueError("frame transform requires a unit torus")
     radii = grid.freq_radii()
     spec = np.zeros(grid.shape, dtype=complex)
-    by_scale: dict = {}
-    for (k, off), val in v.entries.items():
-        by_scale.setdefault(k, []).append((off, val))
-    for k, items in sorted(by_scale.items()):
+    for k, lattice in enumerate(v.levels):
+        if not lattice.any():
+            continue
         m = 2**k
         if m > grid.n:
             raise ValueError(f"scale {k} not representable on n={grid.n}")
-        lattice = np.zeros((m,) * grid.dim, dtype=complex)
-        for off, val in items:
-            lattice[off] = val
         phases = np.fft.fftn(lattice) * 2.0 ** (-k * grid.dim / 2.0)
         tiled = np.tile(phases, (grid.n // m,) * grid.dim)
         spec += tiled * fam.window(k, radii)
@@ -446,7 +447,7 @@ def norm_equivalence_audit(
         C = max(hi, 1.0 / lo)
         cs.append(C)
         rows.append({"n": n, "ratio_min": lo, "ratio_max": hi, "C": C})
-    drift = max(cs) / min(cs) - 1.0
+    drift = _drift(cs)
     return AuditReport(
         name="frame-norm-equivalence",
         params={"trials": trials, "s": sp.s, "p": sp.p, "q": sp.q, "family": sp.family, "max_depth": max_depth, "ns": list(ns), "seed": seed},
@@ -467,11 +468,12 @@ def is_infty_atom(r: CoeffField, Q0: DyadicCube, sp: SpaceParams, rtol: float = 
     """Support inside Q0 and ||g^{s,q}(r)||_inf <= |Q0|^{-1/p} (p <= 1)."""
     if sp.p > 1:
         raise ValueError("atoms are defined for p <= 1")
-    for cube in r.cubes():
-        if r.entries[(cube.k, cube.offset)] != 0 and not Q0.contains(cube):
+    if Q0.dim != r.dim:
+        raise ValueError("dimension mismatch")
+    for k, level in enumerate(r.levels):
+        inside = np.count_nonzero(level[Q0.sample_slices(2**k)]) if k >= Q0.k else 0
+        if inside != np.count_nonzero(level):
             return False
-    if len(r) == 0:
-        return True
     bound = Q0.volume ** (-1.0 / sp.p)
     return float(r.g_field(sp).max()) <= bound * (1.0 + rtol)
 
@@ -511,11 +513,11 @@ def atomic_decompose(b: CoeffField, sp: SpaceParams) -> AtomicDecomposition:
     if len(b) == 0:
         return AtomicDecomposition([], [], [])
     K = b.max_depth
-    n_cells = 2**K
-    g = b.g_field(sp, depth=K)
+    g = b.g_field(sp)
+    cube_min = [block_reduce(g, k, op=np.min) for k in range(K + 1)]
 
-    def level_of(cube: DyadicCube) -> int:
-        m = float(g[cube.sample_slices(n_cells)].min())
+    def level_of(k: int, off: tuple) -> int:
+        m = float(cube_min[k][off])
         j = int(np.floor(np.log2(m)))
         if 2.0**j >= m:
             j -= 1
@@ -524,30 +526,21 @@ def atomic_decompose(b: CoeffField, sp: SpaceParams) -> AtomicDecomposition:
     # boolean pyramids of {g > 2^j}, built lazily per level
     pyramids: dict = {}
 
-    def stopping_cube(cube: DyadicCube, j: int) -> DyadicCube:
+    def stopping_cube(k: int, off: tuple, j: int) -> tuple:
         if j not in pyramids:
-            mask = g > 2.0**j
-            pyr = [mask]
+            pyr = [g > 2.0**j]
             for mu in range(K, 0, -1):
                 pyr.append(block_reduce(pyr[-1], mu - 1, op=np.all))
             pyramids[j] = pyr[::-1]  # index by scale mu = 0..K
         pyr = pyramids[j]
-        while cube.k > 0:
-            parent = cube.parent()
-            if pyr[parent.k][parent.offset if b.dim == 2 else parent.offset[0]]:
-                cube = parent
-            else:
-                break
-        return cube
+        while k > 0 and pyr[k - 1][tuple(o // 2 for o in off)]:
+            k, off = k - 1, tuple(o // 2 for o in off)
+        return k, off
 
     groups: dict = {}
-    for (k, off), val in b.entries.items():
-        if val == 0:
-            continue
-        cube = DyadicCube(k, off, b.dim)
-        j = level_of(cube)
-        top = stopping_cube(cube, j)
-        groups.setdefault((j, top.k, top.offset), []).append(((k, off), val))
+    for (k, off), val in b:
+        j = level_of(k, off)
+        groups.setdefault((j,) + stopping_cube(k, off, j), []).append(((k, off), val))
 
     lambdas, atoms, cubes = [], [], []
     for (j, tk, toff), items in sorted(groups.items()):

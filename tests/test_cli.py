@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import torusfs
 from torusfs.cli import _SUITES, main
 from torusfs.grid import load_gridfunction, make_grid, save_gridfunction
 from torusfs.maximal import band_limited_function
@@ -135,3 +140,11 @@ def test_profiles_and_make(tmp_path):
     assert main(["make", "--function", "lacunary(3)", "--n", str(2**12), "--output", str(out)]) == 0
     f = load_gridfunction(out)
     assert f.grid.n == 2**12
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported where it is used, so start-up stays cheap
+    script = "import sys, torusfs, torusfs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(torusfs.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import torusfs
 from torusfs import experiments
 from torusfs.grid import GridFunction, make_grid
 from torusfs.littlewood_paley import build_partition
@@ -357,6 +363,30 @@ def test_mixed_norm_matches_dense_band_transforms(log_n, seed):
     dense = float(np.mean(stack**2) ** 0.5)
     got = experiments._mixed_norm(spec, 2.0, 1.0)
     assert abs(got - dense) <= 1e-12 * dense
+
+
+_BAND_NORMS = """
+import numpy as np
+from torusfs.experiments import _band_lp_norms
+rng = np.random.default_rng(20)
+spec = rng.standard_normal(2**20) + 1j * rng.standard_normal(2**20)
+print(repr(sorted(_band_lp_norms(spec, 2.0).items())))
+"""
+
+
+def test_band_norms_independent_of_blas_threads():
+    # bands longer than 10^4 points would take a threaded BLAS reduction
+    # whose summation order follows the thread count
+    src = str(Path(torusfs.__file__).parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _BAND_NORMS],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads)),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for threads in (1, 2)
+    ]
+    assert outputs[0] == outputs[1]
 
 
 def test_bspace_rejects_non_spectral_p():

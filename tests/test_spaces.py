@@ -188,12 +188,58 @@ def test_sequence_norm_p_eq_q_closed_form():
     assert abs(sequence_norm(b, sp) - total ** (1 / sp.p)) < 1e-10
 
 
-def test_coeff_field_rows_round_trip():
-    b = CoeffField(2)
-    b[(2, (1, 3))] = 1.5 - 2j
-    b[(0, (0, 0))] = 3.0
-    back = CoeffField.from_rows(2, b.to_rows())
+def _random_field(dim, seed, depth=4, count=12):
+    """A sparse field with ``count`` random coefficients at scales 0..depth."""
+    rng = np.random.default_rng(seed)
+    b = CoeffField(dim)
+    for _ in range(count):
+        k = int(rng.integers(0, depth + 1))
+        b[(k, tuple(int(o) for o in rng.integers(0, 2**k, size=dim)))] = complex(*rng.standard_normal(2))
+    return b
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([1, 2]), seed=st.integers(0, 2**16), depth=st.integers(0, 5))
+def test_coeff_field_rows_round_trip(dim, seed, depth):
+    b = _random_field(dim, seed, depth)
+    rows = b.to_rows()
+    assert [(r["k"],) + tuple(r[f"offset{i}"] for i in range(dim)) for r in rows] == sorted(
+        (k,) + off for (k, off) in b.entries
+    )
+    back = CoeffField.from_rows(dim, rows)
     assert back.entries == b.entries
+    assert len(back) == len(b) == len(rows)
+
+
+def _g_field_by_cubes(b, sp):
+    """g^{s,q}(b) on the finest cells, adding w**q on each cube's cells."""
+    n = 2**b.max_depth
+    acc = np.zeros((n,) * b.dim)
+    for (k, off), v in b:
+        w = 2.0 ** (k * (sp.s + b.dim / 2.0)) * abs(v)
+        cells = DyadicCube(k, off, b.dim).sample_slices(n)
+        acc[cells] = np.maximum(acc[cells], w) if np.isinf(sp.q) else acc[cells] + w**sp.q
+    return acc if np.isinf(sp.q) else acc ** (1.0 / sp.q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**16),
+    q=st.sampled_from([0.5, 1.0, 2.0, 3.5, np.inf]),
+    p=st.sampled_from([0.7, 1.0, 2.0, np.inf]),
+)
+def test_g_field_and_sequence_norm_match_cube_reference(dim, seed, q, p):
+    sp = SpaceParams(0.3, p, q)
+    b = _random_field(dim, seed)
+    ref = _g_field_by_cubes(b, sp)
+    got = b.g_field(sp)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(ref)
+    if np.isinf(p):
+        expected = ref.max()
+    else:
+        expected = (np.mean(ref**p)) ** (1.0 / p)
+    assert abs(sequence_norm(b, sp) - expected) <= 1e-12 * expected
 
 
 def test_coeff_field_rejects_bad_cubes():
@@ -229,7 +275,7 @@ def test_family_invariants():
 def test_analyze_zero_and_linearity():
     z = GridFunction.from_samples(G128, np.zeros(128))
     v = phi_analyze(z, FAM, 5)
-    assert all(abs(val) == 0.0 for val in v.entries.values())
+    assert len(v) == 0  # entries and len cover only the nonzero coefficients
     f, g = random_band_limited(1, radius=12.0), random_band_limited(2, radius=12.0)
     vf = phi_analyze(f, FAM, 5)
     vg = phi_analyze(g, FAM, 5)
@@ -253,6 +299,15 @@ def test_round_trip_band_limited():
         back = phi_synthesize(phi_analyze(f, FAM, 6), FAM, G128)
         rel = np.max(np.abs(back.samples - f.samples)) / np.max(np.abs(f.samples))
         assert rel < 1e-8
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.sampled_from([1, 2]), seed=st.integers(0, 2**16), depth=st.integers(1, 6))
+def test_round_trip_random_depth(dim, seed, depth):
+    grid = make_grid(dim, 128 if dim == 1 else 64)
+    f = band_limited_function(grid, 0.9 * FAM.coverage_radius(depth), np.random.default_rng(seed))
+    back = phi_synthesize(phi_analyze(f, FAM, depth), FAM, grid)
+    assert np.max(np.abs(back.samples - f.samples)) <= 1e-8 * np.max(np.abs(f.samples))
 
 
 def test_round_trip_on_window_atom():
