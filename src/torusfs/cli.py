@@ -6,7 +6,8 @@ audit suites, and the growth experiments.  All outputs are files for
 offline analysis: a JSON report (schema-versioned, deterministic for a
 fixed seed set) plus CSV tables.  Exit code 0 means every requested audit
 passed its tolerance, 1 means some audit failed, 2 means the
-configuration was unusable.
+configuration was unusable or an audit suite raised (the other suites of
+``audit --suite all`` still run and write their reports).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -249,13 +251,21 @@ def _cmd_decompose(cfg) -> int:
 
 def _cmd_audit(cfg) -> int:
     suite = cfg.get("suite", "partition")
+    if suite != "all" and suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)} or 'all'")
     names = list(_SUITES) if suite == "all" else [suite]
     status = 0
+    raised = []
     outdir = Path(cfg["outdir"])
     for name in names:
-        if name not in _SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {sorted(_SUITES)} or 'all'")
-        reports = _SUITES[name](cfg)
+        try:
+            reports = _SUITES[name](cfg)
+        except Exception as exc:  # one suite's failure must not cost the others their reports
+            if not isinstance(exc, (ValueError, OSError)):
+                traceback.print_exc()
+            print(f"audit {name} raised: {exc}", file=sys.stderr)
+            raised.append(name)
+            continue
         expected_fail = _expected_failures(name)
         for i, rep in enumerate(reports):
             stem = f"audit-{name}" if len(reports) == 1 else f"audit-{name}-{i}"
@@ -266,6 +276,9 @@ def _cmd_audit(cfg) -> int:
                 detail = json.dumps({"measured": rep.constant, "tolerance": rep.tolerance})
                 print(f"audit {rep.name} violated its pass rule: {detail}", file=sys.stderr)
                 status = 1
+    if raised:
+        print(f"audit: {len(raised)} of {len(names)} suites raised: {', '.join(raised)}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -7,6 +7,7 @@ parsed from strings like ``bessel(-0.5)`` or ``rademacher(6,11)``.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -48,17 +49,28 @@ def list_registry() -> dict:
     return {"symbols": dict(_SYMBOLS), "functions": dict(_FUNCTIONS)}
 
 
+def _number(tok: str):
+    """An integer literal as int, any other finite number as float."""
+    if re.fullmatch(r"[+-]?[0-9]+", tok):
+        return int(tok)
+    value = float(tok)  # ValueError on empty or malformed tokens
+    if not math.isfinite(value):
+        raise ValueError(f"selector argument {tok!r} is not finite")
+    return value
+
+
 def _parse(spec: str):
     m = re.fullmatch(r"\s*([a-zA-Z-]+)\s*(?:\(([^)]*)\))?\s*", spec)
     if not m:
         raise ValueError(f"cannot parse selector {spec!r}")
     name = m.group(1)
-    args = []
-    if m.group(2):
-        for tok in m.group(2).split(","):
-            tok = tok.strip()
-            args.append(float(tok) if any(c in tok for c in ".eE") or "-" in tok[1:] else int(float(tok)))
+    args = [_number(tok.strip()) for tok in m.group(2).split(",")] if m.group(2) else []
     return name, args
+
+
+def _need(name: str, args, count: int) -> None:
+    if len(args) < count:
+        raise ValueError(f"{name} takes {count} argument(s), got {len(args)}; see the registry")
 
 
 def make_symbol(spec: str, dim: int = 1) -> Symbol:
@@ -67,12 +79,15 @@ def make_symbol(spec: str, dim: int = 1) -> Symbol:
     if name == "identity":
         return Symbol.identity(dim)
     if name == "bessel":
+        _need(name, args, 1)
         return Symbol.bessel(float(args[0]), dim)
     if name == "oscillatory":
+        _need(name, args, 2)
         return oscillatory_multiplier(float(args[0]), float(args[1]), dim)
     if name == "sinsin":
         return Symbol.sin_sin()
     if name == "rademacher":
+        _need(name, args, 1)
         L = int(args[0])
         seed = int(args[1]) if len(args) > 1 else 0
         return rademacher_multiplier(LacunaryConfig(L=L, spacing=2, m=0.0, seed=seed, d=dim))
@@ -97,10 +112,12 @@ def make_test_function(spec: str, grid: Grid) -> GridFunction:
         radius = float(args[0]) if args else grid.nyquist / 4
         return band_limited_function(grid, radius, None, kind="spike")
     if name == "atom-train":
+        _need(name, args, 1)
         L = int(args[0])
         seed = int(args[1]) if len(args) > 1 else 0
         return random_atom_train(RandomAtomConfig(L=L, spacing=2, seed=seed, d=grid.dim), grid)
     if name == "lacunary":
+        _need(name, args, 1)
         L = int(args[0])
         return lacunary_test_function(RandomAtomConfig(L=L, spacing=2, d=grid.dim), grid)
     raise ValueError(f"unknown test function {name!r}; see the registry")

@@ -6,12 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import torusfs
+from torusfs import cli
 from torusfs.cli import _SUITES, main
 from torusfs.grid import load_gridfunction, make_grid, save_gridfunction
 from torusfs.maximal import band_limited_function
-from torusfs.registry import list_registry, make_symbol, make_test_function
+from torusfs.registry import _parse, list_registry, make_symbol, make_test_function
 
 
 @pytest.fixture
@@ -53,6 +55,43 @@ def test_registry_factories():
     assert abs(f.spectrum[3] - 1.0) < 1e-12
     with pytest.raises(ValueError):
         make_symbol("mystery(1)")
+    for spec in ("bessel", "oscillatory(0)", "rademacher()"):
+        with pytest.raises(ValueError):
+            make_symbol(spec)
+    for spec in ("atom-train", "lacunary()", "spike(inf)", "constant(nan)", "random(1,)"):
+        with pytest.raises(ValueError):
+            make_test_function(spec, grid)
+
+
+_numbers = st.one_of(st.integers(-10**30, 10**30), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.from_regex(r"[a-zA-Z-]+", fullmatch=True), st.lists(_numbers, max_size=4), st.sampled_from(["", " "]))
+def test_selector_round_trip(name, args, pad):
+    text = (pad + ",").join(pad + (str(a) if isinstance(a, int) else repr(a)) for a in args)
+    spec = f"{name}({text})" if args else name
+    parsed_name, parsed = _parse(spec)
+    assert parsed_name == name
+    assert parsed == args
+    assert [type(a) for a in parsed] == [type(a) for a in args]
+
+
+_tokens = st.one_of(st.text(alphabet="0123456789+-.eEinfa_ "), st.sampled_from(["inf", "-inf", "nan", "1e999", ""]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.text(), st.lists(_tokens, max_size=3).map(lambda toks: f"spike({','.join(toks)})")))
+def test_selector_parse_raises_only_value_error(spec):
+    try:
+        _parse(spec)
+    except ValueError:
+        pass
+
+
+def test_make_non_finite_selector_exits_2(tmp_path, capsys):
+    assert main(["make", "--function", "spike(inf)", "--n", "64", "--output", str(tmp_path / "s.dat")]) == 2
+    assert "not finite" in capsys.readouterr().err
 
 
 def test_norm_command_cross_check(tmp_path, sample_input):
@@ -87,6 +126,21 @@ def test_audit_every_suite_exits_zero(tmp_path):
         assert any(stem == f"audit-{suite}" or stem.startswith(f"audit-{suite}-") for stem in reports), suite
     not_passed = {stem for stem, rep in reports.items() if not rep["passed"]}
     assert not_passed == {"audit-peetre-1", "audit-vector-maximal-1", "audit-cube-tail-1"}
+
+
+def test_audit_all_isolates_a_raising_suite(tmp_path, monkeypatch, capsys):
+    def boom(cfg):
+        raise ValueError("radius 128.0 exceeds grid Nyquist 128.0")
+
+    monkeypatch.setattr(cli, "_SUITES", {"boom": boom, "partition": _SUITES["partition"]})
+    assert main(["audit", "--suite", "all", "--outdir", str(tmp_path)]) == 2
+    assert (tmp_path / "audit-partition.json").exists()  # the suite after the raising one still ran
+    err = capsys.readouterr().err.splitlines()
+    assert "audit boom raised: radius 128.0 exceeds grid Nyquist 128.0" in err
+    assert err[-1] == "audit: 1 of 2 suites raised: boom"
+    # an unknown suite is rejected before any suite runs
+    assert main(["audit", "--suite", "partitions", "--outdir", str(tmp_path / "none")]) == 2
+    assert not (tmp_path / "none").exists()
 
 
 def test_config_file_merging_and_errors(tmp_path, sample_input):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusfs import cli, maximal
 from torusfs.grid import GridFunction, make_grid
 from torusfs.maximal import (
     PeetreParams,
@@ -71,17 +72,81 @@ def test_peetre_constant_and_large_sigma():
     assert np.max(np.abs(out.samples.real - np.abs(f.samples))) < 1e-10
 
 
-def test_peetre_brute_force_oracle():
+def brute_peetre(f, params):
+    """max over every lattice shift s of w(s) |f(x + s)|, with no early stop."""
+    a = np.abs(f.samples)
+    n, d = f.grid.n, f.grid.dim
+    k = np.arange(n)
+    axis = np.minimum(k / n, 1.0 - k / n)
+    dist = axis if d == 1 else np.hypot(axis[:, None], axis[None, :])
+    w = (1.0 + params.r * dist) ** (-params.sigma)
+    wrap = (k[:, None] + k[None, :]) % n  # wrap[s, x] = x + s mod n
+    if d == 1:
+        out = (w[:, None] * a[wrap]).max(axis=0)
+    else:
+        out = np.zeros(a.shape)
+        for s0 in range(n):
+            shifted = a[wrap[s0]][:, wrap]  # shifted[x0, s1, x1] = a[x0 + s0, x1 + s1]
+            np.maximum(out, (w[s0][None, :, None] * shifted).max(axis=1), out=out)
+    return GridFunction.from_samples(f.grid, out)
+
+
+def test_brute_peetre_matches_pointwise_sup():
     g = make_grid(1, 64)
     x = g.axis_coords()
     f = GridFunction.from_samples(g, np.exp(2j * np.pi * 4 * x))
-    got = peetre_maximal(f, PeetreParams(2.0, 16.0)).samples.real
     n = g.n
     dist = np.minimum(np.arange(n) / n, 1.0 - np.arange(n) / n)
     w = (1.0 + 16.0 * dist) ** -2.0
     af = np.abs(f.samples)
-    brute = np.array([max(af[(i + s) % n] * w[s] for s in range(n)) for i in range(n)])
-    assert np.max(np.abs(got - brute)) == 0.0
+    pointwise = np.array([max(af[(i + s) % n] * w[s] for s in range(n)) for i in range(n)])
+    assert np.array_equal(brute_peetre(f, PeetreParams(2.0, 16.0)).samples.real, pointwise)
+
+
+@st.composite
+def peetre_cases(draw):
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([16, 32, 64, 128, 256] if d == 1 else [16, 32, 64]))
+    g = make_grid(d, n)
+    kind = draw(st.sampled_from(["random", "spike", "constant", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        samples = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+    elif kind == "spike":  # one nonzero sample: the scan never stops early
+        samples = np.zeros(g.shape, dtype=complex)
+        samples[tuple(rng.integers(n, size=d))] = rng.uniform(0.5, 2.0)
+    elif kind == "constant":  # the scan stops before its first block after shift 0
+        samples = np.full(g.shape, complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)))
+    else:  # max|f| = 0
+        samples = np.zeros(g.shape)
+    sigma = draw(st.floats(0.25, 8.0))
+    r = draw(st.floats(1.0, n / 2))
+    return GridFunction.from_samples(g, samples), PeetreParams(sigma, r)
+
+
+@settings(deadline=None, max_examples=60)
+@given(peetre_cases())
+def test_peetre_brute_force_oracle(case):
+    # the blocked, early-stopping scan equals the all-shifts maximum to the bit
+    f, params = case
+    assert np.array_equal(peetre_maximal(f, params).samples, brute_peetre(f, params).samples)
+
+
+def test_maximal_audit_reports_match_brute_force_scan(tmp_path, monkeypatch):
+    suites = ("peetre", "vector-maximal", "cube-tail", "sharp-domination")
+
+    def run(outdir):
+        for suite in suites:
+            assert cli.main(["audit", "--suite", suite, "--trials", "2", "--seed", "3", "--outdir", str(outdir)]) == 0
+
+    run(tmp_path / "scan")
+    monkeypatch.setattr(maximal, "peetre_maximal", brute_peetre)
+    run(tmp_path / "brute")
+    names = sorted(p.name for p in (tmp_path / "scan").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "brute").iterdir())
+    assert len(names) == 14
+    for name in names:
+        assert (tmp_path / "scan" / name).read_bytes() == (tmp_path / "brute" / name).read_bytes(), name
 
 
 @settings(deadline=None, max_examples=15)
