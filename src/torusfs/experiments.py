@@ -15,21 +15,28 @@ reduce deterministically, so reports are byte-stable for a fixed seed set
 regardless of worker count.
 
 Performance notes: everything is assembled sparsely on the frequency
-lattice.  For p = q = 2 the mixed norm is evaluated purely spectrally;
-only genuinely mixed norms (e.g. t = 1 under an L^2 integral) go through
-per-band inverse FFTs, restricted to the bands that carry spectrum.
+lattice.  Every window (band, base, train window, the squared-band stack
+weight and the lacunary sum) comes from the radial tables of
+``littlewood_paley``: each profile is evaluated once per radius 0..n/2
+and gathered into FFT order, and band tables are (indices, values) pairs
+over their annulus only.  The table cache holds one top scale's lattices
+at a time: each draw empties it when its top scale differs from the last
+one seen, and it is emptied before a pool forks.  For p = q = 2 the mixed
+norm is evaluated purely spectrally; only genuinely mixed norms (e.g.
+t = 1 under an L^2 integral) go through per-band inverse FFTs, restricted
+to the bands that carry spectrum.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .grid import Grid, GridFunction
-from .littlewood_paley import LPPartition
+from .littlewood_paley import LPPartition, clear_tables, radial_table, radial_window, scatter
 from .pseudo import Symbol
 from .report import AuditReport, _drift, _fit_slope
 
@@ -313,7 +320,7 @@ def reproducing_profile(r, smoothness: int = 1):
 
 def reproducing_window(grid: Grid, smoothness: int = 1) -> GridFunction:
     """The window itself, sampled on a grid (transform taken on the lattice)."""
-    return GridFunction.from_spectrum(grid, reproducing_profile(grid.freq_radii(), smoothness).astype(complex))
+    return GridFunction.from_spectrum(grid, scatter(grid, _train_table(grid, 0, smoothness)).astype(complex))
 
 
 def atom_train_spectrum(cfg: RandomAtomConfig, grid: Grid, draw: int = 0, smoothness: int = 1):
@@ -330,33 +337,24 @@ def atom_train_spectrum(cfg: RandomAtomConfig, grid: Grid, draw: int = 0, smooth
         raise ValueError("dimension mismatch")
     spec = np.zeros(grid.shape, dtype=complex)
     actives = {}
-    if cfg.d == 1:
-        n = grid.n
-        for k in cfg.scales():
-            z = cfg.zeta(k)
-            rng = np.random.default_rng([cfg.seed, _ATOMS_TAG, draw, k])
-            active = np.flatnonzero(rng.random(2**z) < cfg.activation(k))
-            actives[k] = active
-            if len(active) == 0:
-                continue
-            idx, prof = _train_slice(n, z, smoothness)
-            amp = cfg.amplitude(k) * 2.0**-z
-            freqs_slice = _lattice_freqs(n, idx)
-            centers = (active + 0.5) * 2.0**-z
-            phase_sum = np.exp(-2j * np.pi * np.outer(centers, freqs_slice)).sum(axis=0)
-            spec[idx] += amp * prof * phase_sum
-        return spec, actives
-    freqs = grid.freqs()
     for k in cfg.scales():
         z = cfg.zeta(k)
         rng = np.random.default_rng([cfg.seed, _ATOMS_TAG, draw, k])
-        count = 2 ** (z * cfg.d)
-        active = np.flatnonzero(rng.random(count) < cfg.activation(k))
+        active = np.flatnonzero(rng.random(2 ** (z * cfg.d)) < cfg.activation(k))
         actives[k] = active
         if len(active) == 0:
             continue
-        prof = cfg.amplitude(k) * 2.0 ** (-z * cfg.d) * reproducing_profile(grid.freq_radii() / 2.0**z, smoothness)
+        if cfg.d == 1:
+            idx, prof = _train_table(grid, z, smoothness)
+            amp = cfg.amplitude(k) * 2.0**-z
+            freqs_slice = _lattice_freqs(grid.n, idx)
+            centers = (active + 0.5) * 2.0**-z
+            phase_sum = np.exp(-2j * np.pi * np.outer(centers, freqs_slice)).sum(axis=0)
+            spec[idx] += amp * prof * phase_sum
+            continue
+        prof = cfg.amplitude(k) * 2.0 ** (-z * cfg.d) * scatter(grid, _train_table(grid, z, smoothness))
         side = 2.0**-z
+        freqs = grid.freqs()
         for flat in active:
             i, j = divmod(int(flat), 2**z)
             phase = np.exp(-2j * np.pi * (((i + 0.5) * side) * freqs[0] + ((j + 0.5) * side) * freqs[1]))
@@ -399,9 +397,8 @@ def lacunary_test_function(
         raise ValueError(f"window top {cfg.window_top()} exceeds grid Nyquist {grid.nyquist}")
     coeffs = coeffs or lacunary_coeffs(cfg, q, mode)
     spec = np.zeros(grid.shape, dtype=complex)
-    radii = grid.freq_radii()
     for k in cfg.scales():
-        spec += coeffs[k] * reproducing_profile(radii / 2.0 ** cfg.zeta(k))
+        spec += coeffs[k] * scatter(grid, _train_table(grid, cfg.zeta(k)))
     return GridFunction.from_spectrum(grid, spec)
 
 
@@ -419,8 +416,8 @@ def atom_train_image(lac: LacunaryConfig, atoms: RandomAtomConfig, grid: Grid, d
         raise ValueError("the closed-form image requires matched shell spacing >= 3")
     if grid.dim != 1 or lac.d != 1:
         raise ValueError("kept one-dimensional")
-    lp = LPPartition(J=3)
-    phi = GridFunction.from_spectrum(grid, lp.mother(grid.freq_radii()).astype(complex)).samples
+    mother = radial_table(grid, ("mother", 1), LPPartition(J=3).mother, 0.5, 2.0)
+    phi = GridFunction.from_spectrum(grid, scatter(grid, mother).astype(complex)).samples
     x = grid.axis_coords()
     signs = rademacher_signs(lac, draw)
     _, actives = atom_train_spectrum(atoms, grid, draw)
@@ -515,170 +512,97 @@ def khintchine_audit(coeffs, p: float, draws: int = 20000, seed: int = 0) -> Aud
 # growth experiments
 # ---------------------------------------------------------------------------
 
-# Per-process caches for the large-grid fast paths.  Band windows and train
-# profiles vanish outside dyadic annuli, so only (index, value) slices are
-# kept.  One pool serves every top scale of an experiment, so each draw first
-# calls _caches_for(L): the caches are cleared whenever the top scale changes
-# and never hold more than one scale's lattices.
-_CACHE: dict = {"weight": {}, "band": {}, "base": {}, "train": {}, "lacunary": {}}
-_CACHE_TOP = None
+# One pool serves every top scale of an experiment, so each draw first calls
+# _tables_for(L): the table cache is emptied whenever the top scale changes
+# and never holds more than one scale's lattices.
+_TABLES_TOP = None
 
 
-def _caches_for(top) -> None:
-    """Clear the caches when ``top`` differs from the top scale last seen."""
-    global _CACHE_TOP
-    if top != _CACHE_TOP:
-        for d in _CACHE.values():
-            d.clear()
-        _CACHE_TOP = top
-
-
-# Lattice frequencies are read off FFT-order indices: xi = i below n/2 and
-# i - n from n/2 on.  For a power-of-two n these floats are exactly numpy's
-# FFT sample frequencies, without building them over the whole lattice.
-
-
-def _lattice_radii(n: int, idx: np.ndarray) -> np.ndarray:
-    """|xi| at FFT-order indices of the size-n lattice."""
-    return np.minimum(idx, n - idx).astype(float)
+def _tables_for(top) -> None:
+    """Empty the table cache when ``top`` differs from the top scale last seen."""
+    global _TABLES_TOP
+    if top != _TABLES_TOP:
+        clear_tables()
+        _TABLES_TOP = top
 
 
 def _lattice_freqs(n: int, idx: np.ndarray) -> np.ndarray:
-    """Signed xi at FFT-order indices of the size-n lattice."""
+    """Signed xi at FFT-order indices of the size-n lattice: i below n/2, i - n from n/2 on.
+
+    For a power-of-two n these are exactly numpy's FFT sample frequencies.
+    """
     return np.where(idx < n // 2, idx, idx - n).astype(float)
 
 
-def _radial_to_fft(half: np.ndarray) -> np.ndarray:
-    """Radial values at |xi| = 0..n/2 gathered into FFT order on the size-n lattice."""
-    return np.concatenate([half, half[-2:0:-1]])
-
-
-def _annulus_radii(n: int, lo: float, hi: float) -> np.ndarray:
-    """Ascending lattice radii 0 < r <= n/2 with lo < r (<=) hi."""
-    rlo = int(np.floor(lo)) + 1
-    rhi = min(int(np.ceil(hi)) - 1, n // 2 - 1)
-    if rhi < rlo:
-        return np.empty(0, dtype=np.int64)
-    r = np.arange(rlo, rhi + 1, dtype=np.int64)
-    if hi >= n // 2:
-        r = np.append(r, n // 2)
-    return r
-
-
-def _radial_slice(n: int, lo: float, hi: float, profile):
-    """(FFT-order indices, profile values) of the annulus lo < |xi| (<=) hi.
-
-    Indices run over the positive frequencies, then their negatives, then
-    the Nyquist frequency if it belongs; the profile is evaluated once per
-    radius and shared by both signs.
-    """
-    r = _annulus_radii(n, lo, hi)
-    vals = profile(r.astype(float))
-    k = np.searchsorted(r, n // 2)  # radii below the Nyquist frequency
-    idx = np.concatenate([r[:k], n - r[:k], r[k:]])
-    return idx, np.concatenate([vals[:k], vals[:k], vals[k:]])
-
-
-def _stack_weight(n: int) -> np.ndarray:
-    """sum of squared band windows on the full lattice of size n (d = 1).
-
-    Built once per radius 0..n/2, adding bands in increasing order, then
-    gathered into FFT order.
-    """
-    w = _CACHE["weight"].get(n)
-    if w is None:
-        lp = LPPartition(J=3)
-        half = lp.base(np.arange(n // 2 + 1, dtype=float)) ** 2
-        for k in range(1, int(np.log2(n)) + 1):
-            r = _annulus_radii(n, 2.0 ** (k - 1), 2.0 ** (k + 1))
-            half[r] += lp.mother(r / 2.0**k) ** 2
-        w = _radial_to_fft(half)
-        _CACHE["weight"][n] = w
-    return w
-
-
-def _band_slice(n: int, j: int):
-    """(indices, window values) of band j on the size-n lattice."""
-    key = (n, j)
-    hit = _CACHE["band"].get(key)
-    if hit is None:
-        lp = LPPartition(J=3)
-        hit = _radial_slice(n, 2.0 ** (j - 1), 2.0 ** (j + 1), lambda r: lp.mother(r / 2.0**j))
-        _CACHE["band"][key] = hit
-    return hit
-
-
-def _base_slice(n: int):
-    hit = _CACHE["base"].get(n)
-    if hit is None:
-        idx = np.array([0, 1, n - 1], dtype=np.int64)
-        hit = (idx, LPPartition(J=3).base(_lattice_radii(n, idx)))
-        _CACHE["base"][n] = hit
-    return hit
-
-
-def _train_slice(n: int, zeta: int, smoothness: int = 1):
-    """(indices, window-profile values) of the scale-zeta train window."""
-    key = (n, zeta, smoothness)
-    hit = _CACHE["train"].get(key)
-    if hit is None:
-        hit = _radial_slice(n, 2.0**zeta, 2.0 ** (zeta + 5), lambda r: reproducing_profile(r / 2.0**zeta, smoothness))
-        _CACHE["train"][key] = hit
-    return hit
+def _train_table(grid: Grid, zeta: int, smoothness: int = 1) -> tuple:
+    """Radial table of the scale-zeta train window, reproducing_profile(|xi| / 2^zeta)."""
+    return radial_table(
+        grid, ("train", zeta, smoothness), lambda r: reproducing_profile(r / 2.0**zeta, smoothness),
+        2.0**zeta, 2.0 ** (zeta + 5),
+    )
 
 
 def _f22_norm(spec: np.ndarray) -> float:
-    """F^{0,2}_2 norm of a spectrum on the unit torus, purely spectral."""
-    return float(np.sqrt(np.sum(np.abs(spec) ** 2 * _stack_weight(len(spec)))))
+    """F^{0,2}_2 norm of a spectrum on the unit torus, purely spectral.
+
+    The weight sums the squared band windows in one pass over the radii.
+    """
+    grid = Grid(1, len(spec))
+    lp = LPPartition(J=3)
+
+    def stack(r):
+        w = lp.base(r) ** 2
+        for k in range(1, int(np.log2(grid.n)) + 1):
+            a, b = np.searchsorted(r, 2.0 ** (k - 1), side="right"), np.searchsorted(r, 2.0 ** (k + 1))
+            w[a:b] += lp.mother(r[a:b] / 2.0**k) ** 2
+        return w
+
+    weight = radial_window(grid, ("stack",), stack, -1.0, np.inf)
+    return float(np.sqrt(np.sum(np.abs(spec) ** 2 * weight)))
 
 
-def _band_range(spec: np.ndarray, tol: float = 0.0) -> list:
-    """Bands j whose annulus (2^(j-1), 2^(j+1)) holds spectrum mass."""
-    n = len(spec)
-    nz = np.flatnonzero(np.abs(spec) > tol)
-    if nz.size == 0:
+def _band_range(spec: np.ndarray) -> list:
+    """Bands j whose annulus (2^(j-1), 2^(j+1)) holds spectrum mass off the origin."""
+    nz = np.flatnonzero(spec != 0)
+    r = np.minimum(nz, len(spec) - nz)  # |xi| at FFT-order indices
+    r = r[r > 0]
+    if r.size == 0:
         return []
-    rnz = _lattice_radii(n, nz)
-    rpos = rnz[rnz > 0]
-    rmin = max(float(rpos.min()) if rpos.size else 1.0, 1.0)
-    rmax = float(rnz.max())
-    jlo = max(1, int(np.floor(np.log2(rmin))))
-    jhi = int(np.ceil(np.log2(max(rmax, 1.0)))) + 1
-    return list(range(jlo, jhi + 1))
+    return list(range(max(1, int(np.floor(np.log2(r.min())))), int(np.ceil(np.log2(r.max()))) + 2))
 
 
-def _band_pieces(spec: np.ndarray, include_base: bool = True):
-    """Yield (band, indices, windowed slice values) for bands with mass."""
-    n = len(spec)
-    for j in _band_range(spec):
-        idx, w = _band_slice(n, j)
+def _band_pieces(spec: np.ndarray):
+    """Yield (band, indices, windowed slice values) for bands with mass, the base band last."""
+    grid = Grid(1, len(spec))
+    lp = LPPartition(J=int(np.log2(grid.n)))
+    for j in _band_range(spec) + [0]:
+        idx, w = lp.table(grid, j)
         piece = spec[idx] * w
         if np.any(piece):
             yield j, idx, piece
-    if include_base:
-        idx, w0 = _base_slice(n)
-        piece = spec[idx] * w0
-        if np.any(piece):
-            yield 0, idx, piece
 
 
-def _mixed_norm(spec: np.ndarray, p: float, t: float, include_base: bool = True) -> float:
+def _band_moduli(spec: np.ndarray):
+    """Yield (band, |band piece| on the lattice) for bands with mass, one inverse FFT each."""
+    import scipy.fft
+
+    buf = np.zeros(len(spec), dtype=complex)
+    for j, idx, piece in _band_pieces(spec):
+        buf[idx] = piece
+        yield j, np.abs(scipy.fft.ifft(buf, norm="forward"))
+        buf[idx] = 0
+
+
+def _mixed_norm(spec: np.ndarray, p: float, t: float) -> float:
     """L^p norm of the pointwise l^t band stack for a d = 1 spectrum.
 
     Falls back to the spectral formula for p = t = 2; otherwise inverse
     transforms one band at a time (only bands carrying mass).
     """
-    import scipy.fft
-
-    n = len(spec)
     if p == 2.0 and t == 2.0:
         return _f22_norm(spec)
     stack = None
-    buf = np.zeros(n, dtype=complex)
-    for _, idx, piece in _band_pieces(spec, include_base):
-        buf[idx] = piece
-        vals = np.abs(scipy.fft.ifft(buf, norm="forward"))
-        buf[idx] = 0
+    for _, vals in _band_moduli(spec):
         part = vals if np.isinf(t) else vals**t
         if stack is None:
             stack = part
@@ -696,34 +620,20 @@ def _mixed_norm(spec: np.ndarray, p: float, t: float, include_base: bool = True)
 
 def _band_lp_norms(spec: np.ndarray, p: float) -> dict:
     """Per-band L^p norms of a d = 1 spectrum (spectral for p = 2)."""
-    import scipy.fft
-
-    n = len(spec)
-    out = {}
-    buf = np.zeros(n, dtype=complex)
-    for j, idx, piece in _band_pieces(spec, include_base=True):
-        if p == 2.0:
-            # not np.linalg.norm: its BLAS reduction sums in an order
-            # that depends on the thread count
-            out[j] = float(np.sqrt(np.sum(np.abs(piece) ** 2)))
-        else:
-            buf[idx] = piece
-            vals = np.abs(scipy.fft.ifft(buf, norm="forward"))
-            buf[idx] = 0
-            out[j] = float(vals.max()) if np.isinf(p) else float(np.mean(vals**p) ** (1.0 / p))
-    return out
-
-
-def _truncate_spectrum(spec: np.ndarray, n_out: int) -> np.ndarray:
-    half = n_out // 2
-    return np.concatenate([spec[:half], spec[-half:]])
+    if p == 2.0:
+        # not np.linalg.norm: its BLAS reduction sums in an order that
+        # depends on the thread count
+        return {j: float(np.sqrt(np.sum(np.abs(piece) ** 2))) for j, _, piece in _band_pieces(spec)}
+    if np.isinf(p):
+        return {j: float(vals.max()) for j, vals in _band_moduli(spec)}
+    return {j: float(np.mean(vals**p) ** (1.0 / p)) for j, vals in _band_moduli(spec)}
 
 
 def _fspace_draw(args) -> tuple:
     lac_args, atom_args, p, q, t, draw = args
     lac = LacunaryConfig(**lac_args)
     atoms = RandomAtomConfig(**atom_args)
-    _caches_for(atoms.L)
+    _tables_for(atoms.L)
     n_in = 2 ** (atoms.zeta(atoms.L) + 6)
     grid_in = Grid(1, n_in)
     spec, actives = atom_train_spectrum(atoms, grid_in, draw)
@@ -731,7 +641,7 @@ def _fspace_draw(args) -> tuple:
     n_out = 2 ** (lac.zeta(lac.L) + 5)
     grid_out = Grid(1, n_out)
     mult = multiplier_on_lattice(lac, grid_out, draw)
-    out_spec = mult * _truncate_spectrum(spec, n_out)
+    out_spec = mult * np.concatenate([spec[: n_out // 2], spec[-n_out // 2 :]])  # truncated to the output lattice
     out_norm = _mixed_norm(out_spec, p, t)
     uniq = tuple(1 if len(actives[k]) == 1 else 0 for k in atoms.scales())
     return (draw, in_norm**p, out_norm**p, uniq)
@@ -746,7 +656,7 @@ def _run_tasks(worker, batches, workers: int) -> list:
     """
     order = sorted(range(len(batches)), key=lambda i: -batches[i][0])
     tasks = [task for i in order for task in batches[i][1]]
-    _caches_for(None)  # pool workers start from the parent's memory: keep it free of lattices
+    _tables_for(None)  # pool workers start from the parent's memory: keep it free of lattices
     if workers <= 1:
         flat = [worker(task) for task in tasks]
     else:
@@ -799,13 +709,10 @@ def fspace_growth_experiment(
     draw_rows = []
     counts, in_vals, out_vals = [], [], []
     floor_min = np.inf
-    batches = []
-    for L in L_list:
-        lac_L = replace(lac, L=L)
-        atoms_L = replace(atoms, L=L)
-        lac_args = {f.name: getattr(lac_L, f.name) for f in lac_L.__dataclass_fields__.values()}
-        atom_args = {f.name: getattr(atoms_L, f.name) for f in atoms_L.__dataclass_fields__.values()}
-        batches.append((L, [(lac_args, atom_args, p, q, t, draw) for draw in range(draws)]))
+    batches = [
+        (L, [(asdict(replace(lac, L=L)), asdict(replace(atoms, L=L)), p, q, t, draw) for draw in range(draws)])
+        for L in L_list
+    ]
     for L, results in zip(L_list, _run_tasks(_fspace_draw, batches, workers)):
         atoms_L = replace(atoms, L=L)
         draw_rows.extend(
@@ -851,19 +758,18 @@ def fspace_growth_experiment(
 def _bspace_draw(args) -> tuple:
     lac_args, zc_pairs, t, draw = args
     lac = LacunaryConfig(**lac_args)
-    _caches_for(lac.L)
-    n = 2 ** (lac.zeta(lac.L) + 5)
-    grid = Grid(1, n)
-    # only the multiplier's shell support matters, so the lacunary sum is
-    # assembled truncated on the smaller output lattice; it is the same for
-    # every draw and radial, so it is built once per radius and cached
-    spec = _CACHE["lacunary"].get(zc_pairs)
-    if spec is None:
-        radii = np.arange(n // 2 + 1, dtype=float)
-        half = np.zeros(n // 2 + 1, dtype=complex)
+    _tables_for(lac.L)
+    grid = Grid(1, 2 ** (lac.zeta(lac.L) + 5))
+
+    # the lacunary sum, truncated to the output lattice (only the multiplier's
+    # shell support matters), is the same for every draw
+    def lacunary(r):
+        out = np.zeros(r.shape, dtype=complex)
         for z, c in zc_pairs:
-            half += c * reproducing_profile(radii / 2.0**z)
-        spec = _CACHE["lacunary"][zc_pairs] = _radial_to_fft(half)
+            out += c * reproducing_profile(r / 2.0**z)
+        return out
+
+    spec = radial_window(grid, ("lacunary", zc_pairs), lacunary, -1.0, np.inf)
     mult = multiplier_on_lattice(lac, grid, draw)
     out_spec = mult * spec
     norms = _band_lp_norms(out_spec, 2.0)
@@ -905,7 +811,7 @@ def bspace_growth_experiment(
     counts, in_vals, out_vals = [], [], []
     raw_ins, batches = [], []
     for L in L_list:
-        _caches_for(L)
+        _tables_for(L)
         lac_L = replace(lac, L=L)
         atoms_L = replace(atoms, L=L)
         coeffs = lacunary_coeffs(atoms_L, q, coeff_mode)
@@ -916,9 +822,8 @@ def bspace_growth_experiment(
         raw_in = float(np.sum([in_band[j] ** q for j in ks]) ** (1.0 / q)) if not np.isinf(q) else max(in_band.values())
         coeffs = {k: c / raw_in for k, c in coeffs.items()}  # calibrate the input norm to 1
         raw_ins.append(raw_in)
-        lac_args = {f.name: getattr(lac_L, f.name) for f in lac_L.__dataclass_fields__.values()}
         zc_pairs = tuple((atoms_L.zeta(k), coeffs[k]) for k in atoms_L.scales())
-        batches.append((L, [(lac_args, zc_pairs, t, draw) for draw in range(draws)]))
+        batches.append((L, [(asdict(lac_L), zc_pairs, t, draw) for draw in range(draws)]))
     for L, raw_in, results in zip(L_list, raw_ins, _run_tasks(_bspace_draw, batches, workers)):
         in_norm = 1.0
         moments = []

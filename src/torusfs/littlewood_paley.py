@@ -4,11 +4,14 @@ The frequency axis is split by a family {base, mother(./2), mother(./4), ...}
 of radial windows built from the classical exp(-1/t) cutoff.  The telescoping
 construction makes the partition identity exact (up to roundoff) rather than
 approximate: the partial sums have the closed form h(r / 2^K).
+
+Every radial window sampled on a frequency lattice, here and in the other
+modules, comes from one cache of radial tables (:func:`radial_table`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,9 +24,88 @@ __all__ = [
     "band_project",
     "check_partition",
     "export_profiles_csv",
+    "radial_table",
+    "radial_window",
+    "scatter",
+    "clear_tables",
 ]
 
-_CACHE_LIMIT = 2**20  # largest grid (points) whose windows we keep around
+# (grid, key) -> a radial_table or a radial_window.  Nothing is evicted:
+# callers that sweep large grids empty it with clear_tables().
+_TABLES: dict = {}
+
+
+def clear_tables() -> None:
+    """Empty the radial table cache."""
+    _TABLES.clear()
+
+
+def _first_above(x: float, step: float, count: int) -> int:
+    """Smallest i in 0..count with i * step > x; count if none."""
+    i = int(np.clip(np.floor(min(x, count * step) / step), 0, count))
+    while i > 0 and (i - 1) * step > x:
+        i -= 1
+    while i < count and i * step <= x:
+        i += 1
+    return i
+
+
+def _build_table(grid: Grid, profile, lo: float, hi: float) -> tuple:
+    if grid.dim == 1:
+        n, half = grid.n, grid.n // 2
+        step = 1.0 / (n * (grid.period / n))  # numpy's fftfreq spacing: radii match freq_radii() to the bit
+        a, b = _first_above(lo, step, half), _first_above(np.nextafter(hi, -np.inf), step, half)
+        radii = np.arange(a, b + (lo < half * step <= hi))  # the Nyquist radius n/2 follows b = n/2
+        vals = profile(radii * step)
+        m, z = b - a, int(a == 0)  # 0 is its own negative
+        idx = np.concatenate([radii[:m], n - radii[z:m], radii[m:]])
+        return idx, np.concatenate([vals[:m], vals[z:m], vals[m:]])
+    r = grid.freq_radii().ravel()
+    radii, inv = np.unique(r, return_inverse=True)
+    a, b = np.searchsorted(radii, lo, side="right"), np.searchsorted(radii, hi, side="left")
+    idx = np.flatnonzero((r > lo) & (r < hi))
+    return idx, profile(radii[a:b])[inv[idx] - a]
+
+
+def radial_table(grid: Grid, key, profile, lo: float, hi: float) -> tuple:
+    """(flat FFT-order indices, values) of a radial window on lo < |xi| < hi.
+
+    ``profile`` maps ascending radii to window values, which must vanish
+    off the annulus.  It is evaluated once per distinct lattice radius and
+    gathered onto the lattice, so the values equal
+    ``profile(grid.freq_radii())`` to the bit.  The table is cached under
+    (grid, key) until :func:`clear_tables`.  In 1-D the indices run over
+    the nonnegative frequencies in ascending order, then their negatives,
+    then the Nyquist frequency if lo < |xi| <= hi holds there; sums over a
+    table follow this order.  In 2-D the indices ascend.
+    """
+    table = _TABLES.get((grid, key))
+    if table is None:
+        table = _TABLES[(grid, key)] = _build_table(grid, profile, lo, hi)
+        for arr in table:
+            arr.flags.writeable = False
+    return table
+
+
+def radial_window(grid: Grid, key, profile, lo: float, hi: float) -> np.ndarray:
+    """:func:`radial_table` scattered onto the lattice, cached as that array.
+
+    For windows needed at every lattice point; the table itself is not kept,
+    and a key names either a table or a window.
+    """
+    w = _TABLES.get((grid, key))
+    if w is None:
+        w = _TABLES[(grid, key)] = scatter(grid, _build_table(grid, profile, lo, hi))
+        w.flags.writeable = False
+    return w
+
+
+def scatter(grid: Grid, table: tuple) -> np.ndarray:
+    """A table's window on the whole lattice (FFT order), zero off its annulus."""
+    idx, vals = table
+    out = np.zeros(grid.size, dtype=vals.dtype)
+    out[idx] = vals
+    return out.reshape(grid.shape)
 
 
 def smooth_step(t, sharpness: float = 1.0):
@@ -57,7 +139,6 @@ class LPPartition:
 
     J: int
     smoothness: int = 1
-    _window_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.J < 3:
@@ -107,16 +188,16 @@ class LPPartition:
 
     # -- sampled windows ---------------------------------------------------
 
+    def table(self, grid: Grid, k: int) -> tuple:
+        """Radial table of the band-k window on the grid's lattice."""
+        if not 0 <= k <= self.J:
+            raise ValueError(f"band {k} outside partition range 0..{self.J}")
+        lo, hi = (-1.0, 2.0) if k == 0 else (2.0 ** (k - 1), 2.0 ** (k + 1))
+        return radial_table(grid, ("band", self.smoothness, k), lambda r: self.profile(k, r), lo, hi)
+
     def window(self, grid: Grid, k: int) -> np.ndarray:
         """Band-k window sampled on the grid's frequency lattice (FFT order)."""
-        key = (grid.dim, grid.n, grid.period, k)
-        w = self._window_cache.get(key)
-        if w is None:
-            w = self.profile(k, grid.freq_radii())
-            w.flags.writeable = False
-            if grid.size <= _CACHE_LIMIT:
-                self._window_cache[key] = w
-        return w
+        return scatter(grid, self.table(grid, k))
 
 
 def build_partition(J: int, smoothness: int = 1) -> LPPartition:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dyadic import block_reduce
 from .grid import Grid, GridFunction
-from .littlewood_paley import LPPartition
+from .littlewood_paley import LPPartition, radial_table, scatter
 from .report import AuditReport, _fit_slope
 
 __all__ = [
@@ -345,6 +345,13 @@ def _cum_window(partition: LPPartition, K: int, radii: np.ndarray) -> np.ndarray
     return partition.partial_sum(K, radii)
 
 
+def _cum_lattice_window(partition: LPPartition, K: int, grid: Grid) -> np.ndarray:
+    """_cum_window on the grid's frequency lattice, read from the radial tables."""
+    hi = 2.0 ** (K + 1) if K <= partition.J else np.inf  # the closure is 1 everywhere
+    table = radial_table(grid, ("partial", partition, K), lambda r: _cum_window(partition, K, r), -1.0, hi)
+    return scatter(grid, table)
+
+
 @dataclass
 class ParadiffDecomposition:
     """Three interaction pieces and the low-high band symbols.
@@ -390,9 +397,8 @@ def band_symbol(a: Symbol, partition: LPPartition, k: int, grid: Grid) -> Symbol
 
         return Symbol(fn=g, order=a.order, kind="multiplier", dim=a.dim, name=f"{a.name}|band{k}")
     table = _symbol_table(a, grid)
-    radii = np.abs(grid.axis_freqs())
-    low = _cum_window(partition, k - 3, radii)
-    win = partition.window(grid, k) if k <= partition.J else 1.0 - partition.partial_sum(partition.J, radii)
+    low = _cum_lattice_window(partition, k - 3, grid)
+    win = partition.window(grid, k) if k <= partition.J else 1.0 - _cum_lattice_window(partition, partition.J, grid)
     ahat = np.fft.fft(table, axis=0)
     smooth = np.fft.ifft(ahat * low[:, None], axis=0)
     return Symbol.from_table(grid, smooth * win[None, :], a.order, name=f"{a.name}|band{k}")
@@ -430,11 +436,10 @@ def decompose_paradiff(a: Symbol, partition: LPPartition, grid: Grid | None = No
     if grid.dim != 1:
         raise ValueError("sampled decomposition is kept one-dimensional")
     table = _symbol_table(a, grid)
-    radii = np.abs(grid.axis_freqs())
     ahat = np.fft.fft(table, axis=0)
 
     # cumulative x-window values per cut index, closed at the top
-    cums = {K: _cum_window(partition, K, radii) for K in range(-1, J + 2)}
+    cums = {K: _cum_lattice_window(partition, K, grid) for K in range(-1, J + 2)}
     xi_windows = {}
     for k in range(J + 2):
         xi_windows[k] = cums[k] - cums[k - 1] if k <= J else 1.0 - cums[J]

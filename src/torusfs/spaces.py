@@ -21,7 +21,7 @@ import numpy as np
 
 from .dyadic import DyadicCube, block_reduce, expand_blocks, grid_depth
 from .grid import Grid, GridFunction, upsample
-from .littlewood_paley import LPPartition, band_project
+from .littlewood_paley import LPPartition, band_project, radial_table, scatter
 from .maximal import band_limited_function, vector_sharp
 from .report import AuditReport, _drift
 
@@ -352,6 +352,13 @@ class PhiTransformFamily:
             return self.theta0(r)
         return self.theta(np.asarray(r, dtype=float) / 2.0**k)
 
+    def table(self, grid: Grid, k: int) -> tuple:
+        """Radial table of the scale-k window on the grid's lattice."""
+        # theta0 reaches up to 2 * scale inclusive, so its open bound lies past it
+        lo, hi = (-1.0, 4.0 * self.scale) if k == 0 else (2.0**k * a for a in self.support_annulus)
+        key = ("frame", self.lp.smoothness, self.band_shift, k)
+        return radial_table(grid, key, lambda r: self.window(k, r), lo, hi)
+
     def coverage_radius(self, max_depth: int) -> float:
         """Largest |xi| at which the depth-truncated frame identity is exact."""
         return 2.0**max_depth * self.scale
@@ -383,10 +390,9 @@ def phi_analyze(f: GridFunction, fam: PhiTransformFamily, max_depth: int) -> Coe
         raise ValueError("frame transform requires a unit torus")
     if 2**max_depth > grid.n:
         raise ValueError(f"max_depth {max_depth} exceeds grid depth {grid_depth(grid.n)}")
-    radii = grid.freq_radii()
     levels = []
     for k in range(max_depth + 1):
-        corr = f.spectrum * fam.window(k, radii)
+        corr = f.spectrum * scatter(grid, fam.table(grid, k))
         m = 2**k
         vals = np.fft.ifftn(_fold_spectrum(corr, m)) * m**grid.dim
         levels.append(vals * 2.0 ** (-k * grid.dim / 2.0))
@@ -397,7 +403,6 @@ def phi_synthesize(v: CoeffField, fam: PhiTransformFamily, grid: Grid) -> GridFu
     """f = sum_Q v_Q window^Q, assembled spectrally scale by scale."""
     if grid.period != 1.0:
         raise ValueError("frame transform requires a unit torus")
-    radii = grid.freq_radii()
     spec = np.zeros(grid.shape, dtype=complex)
     for k, lattice in enumerate(v.levels):
         if not lattice.any():
@@ -407,7 +412,7 @@ def phi_synthesize(v: CoeffField, fam: PhiTransformFamily, grid: Grid) -> GridFu
             raise ValueError(f"scale {k} not representable on n={grid.n}")
         phases = np.fft.fftn(lattice) * 2.0 ** (-k * grid.dim / 2.0)
         tiled = np.tile(phases, (grid.n // m,) * grid.dim)
-        spec += tiled * fam.window(k, radii)
+        spec += tiled * scatter(grid, fam.table(grid, k))
     return GridFunction.from_spectrum(grid, spec)
 
 

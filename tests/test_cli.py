@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torusfs
-from torusfs import cli
+from torusfs import cli, littlewood_paley
 from torusfs.cli import _SUITES, main
 from torusfs.grid import load_gridfunction, make_grid, save_gridfunction
 from torusfs.maximal import band_limited_function
@@ -178,6 +178,44 @@ def test_audit_rerun_byte_identical(tmp_path):
     names = sorted(p.name for p in (tmp_path / "x").iterdir())
     for name in names:
         assert (tmp_path / "x" / name).read_bytes() == (tmp_path / "y" / name).read_bytes()
+
+
+class _NoCache(dict):
+    def __setitem__(self, key, value):
+        pass
+
+
+def _dense_build(build):
+    """Reference table builder: same indices, profile evaluated at every lattice point."""
+
+    def reference(grid, profile, lo, hi):
+        idx, _ = build(grid, lambda r: np.zeros(r.shape), lo, hi)
+        r = grid.freq_radii().ravel()
+        order = np.argsort(r, kind="stable")  # profiles take ascending radii
+        dense = np.empty(r.shape, dtype=np.result_type(profile(r[:1]), float))
+        dense[order] = profile(r[order])
+        return idx, dense[idx]
+
+    return reference
+
+
+def _table_driven_outputs(outdir):
+    for suite in ("frame", "single-band", "local-energy", "partition"):
+        assert main(["audit", "--suite", suite, "--trials", "2", "--outdir", str(outdir)]) == 0
+    for name, p in (("fspace-growth", "1.5"), ("bspace-growth", "2")):
+        main(["experiment", "--name", name, "--p", p, "--L", "3..4", "--draws", "2", "--seed", "5",
+              "--outdir", str(outdir / name)])
+    return {path.relative_to(outdir): path.read_bytes() for path in sorted(outdir.rglob("*")) if path.is_file()}
+
+
+def test_reports_identical_with_dense_uncached_tables(tmp_path, monkeypatch):
+    littlewood_paley.clear_tables()
+    cached = _table_driven_outputs(tmp_path / "cached")
+    monkeypatch.setattr(littlewood_paley, "_TABLES", _NoCache())
+    monkeypatch.setattr(littlewood_paley, "_build_table", _dense_build(littlewood_paley._build_table))
+    dense = _table_driven_outputs(tmp_path / "dense")
+    assert len(cached) > 8
+    assert cached == dense
 
 
 def test_decompose_command(tmp_path):

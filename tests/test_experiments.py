@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import torusfs
 from torusfs import experiments
 from torusfs.grid import GridFunction, make_grid
-from torusfs.littlewood_paley import build_partition
+from torusfs.littlewood_paley import build_partition, clear_tables, radial_window
 from torusfs.experiments import (
     LacunaryConfig,
     RandomAtomConfig,
@@ -323,15 +323,19 @@ def _dense_radii(n):
 @given(log_n=st.integers(3, 18), j=st.integers(1, 19))
 def test_lattice_frequencies_from_indices_are_exact(log_n, j):
     n = 2**log_n
-    experiments._caches_for(None)
-    idx, vals = experiments._band_slice(n, j)
+    grid = make_grid(1, n)
+    clear_tables()
+    idx, vals = build_partition(max(3, j)).table(grid, j)
     r = _dense_radii(n)
-    # the slice is the band's annulus, plus the Nyquist radius where the band reaches it
+    # the table is the band's annulus, plus the Nyquist radius where the band reaches it
     annulus = (r > 2.0 ** (j - 1)) & ((r < 2.0 ** (j + 1)) | ((r == n // 2) & (2.0 ** (j + 1) >= n // 2)))
     assert np.array_equal(np.sort(idx), np.flatnonzero(annulus))
     assert np.array_equal(vals, build_partition(3).mother(r[idx] / 2.0**j))
+    # 1-D order: positive radii ascending, their negatives, then the Nyquist frequency
+    pos = np.flatnonzero(annulus[: n // 2])
+    assert np.array_equal(idx, np.concatenate([pos, n - pos, [n // 2] if annulus[n // 2] else []]))
+    assert build_partition(3).table(grid, 0)[0].tolist() == [0, 1, n - 1]
     for sample in (idx, np.arange(n)):
-        assert np.array_equal(experiments._lattice_radii(n, sample), r[sample])
         assert np.array_equal(experiments._lattice_freqs(n, sample), np.fft.fftfreq(n, d=1.0 / n)[sample])
 
 
@@ -339,20 +343,23 @@ def test_lattice_frequencies_from_indices_are_exact(log_n, j):
 @given(log_n=st.integers(3, 18))
 def test_stack_weight_matches_dense_construction(log_n):
     n = 2**log_n
-    experiments._caches_for(None)
+    clear_tables()
     lp = build_partition(3)
     r = _dense_radii(n)
     dense = lp.base(r) ** 2
     for k in range(1, log_n + 1):
         dense += lp.mother(r / 2.0**k) ** 2
-    assert np.array_equal(experiments._stack_weight(n), dense)
+    spec = np.random.default_rng(log_n).standard_normal(n) + 0j
+    assert experiments._f22_norm(spec) == float(np.sqrt(np.sum(np.abs(spec) ** 2 * dense)))
+    # the weight _f22_norm left in the table cache (a hit never calls the profile)
+    assert np.array_equal(radial_window(make_grid(1, n), ("stack",), None, -1.0, np.inf), dense)
 
 
 @settings(max_examples=20, deadline=None)
 @given(log_n=st.integers(3, 12), seed=st.integers(0, 2**16))
 def test_mixed_norm_matches_dense_band_transforms(log_n, seed):
     n = 2**log_n
-    experiments._caches_for(None)
+    clear_tables()
     rng = np.random.default_rng(seed)
     spec = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (rng.random(n) < 0.3)
     lp = build_partition(3)

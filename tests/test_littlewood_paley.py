@@ -2,9 +2,21 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from torusfs import experiments
+from torusfs.experiments import reproducing_profile
 from torusfs.grid import GridFunction, make_grid
-from torusfs.littlewood_paley import LPPartition, band_project, build_partition, check_partition, export_profiles_csv
+from torusfs.littlewood_paley import (
+    LPPartition,
+    band_project,
+    build_partition,
+    check_partition,
+    clear_tables,
+    export_profiles_csv,
+    scatter,
+)
+from torusfs.spaces import build_phi_family
 
 
 def test_build_partition_validation():
@@ -148,3 +160,26 @@ def test_profiles_csv_export(tmp_path):
     assert header.split(",")[:3] == ["radius", "base", "band_1"]
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (64, 6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    log_n=st.integers(3, 8),
+    period=st.sampled_from([1.0, 2.0, 0.3]),
+    smoothness=st.integers(1, 2),
+)
+def test_scattered_tables_equal_dense_profiles(dim, log_n, period, smoothness):
+    # per-radius evaluation gathered onto the lattice is the dense evaluation, to the bit
+    grid = make_grid(dim, 2**log_n, period)
+    radii = grid.freq_radii()
+    clear_tables()
+    part = build_partition(log_n + 3, smoothness)
+    for k in range(part.J + 1):
+        assert np.array_equal(part.window(grid, k), part.profile(k, radii))
+    fam = build_phi_family(smoothness)
+    for k in range(log_n + 1):
+        assert np.array_equal(scatter(grid, fam.table(grid, k)), fam.window(k, radii))
+    for z in range(3):
+        train = scatter(grid, experiments._train_table(grid, z, smoothness))
+        assert np.array_equal(train, reproducing_profile(radii / 2.0**z, smoothness))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torusfs import littlewood_paley
 from torusfs.dyadic import DyadicCube
 from torusfs.grid import GridFunction, make_grid
 from torusfs.littlewood_paley import build_partition
@@ -291,6 +292,24 @@ def test_synthesize_single_coefficient_matches_definition():
     spec = FAM.window(3, G128.freq_radii()) * np.exp(-2j * np.pi * G128.axis_freqs() * (5 / 8)) * 2.0 ** (-3 / 2)
     direct = GridFunction.from_spectrum(G128, spec.astype(complex))
     assert np.max(np.abs(out.samples - direct.samples)) < 1e-12
+
+
+def test_frame_windows_come_from_the_table_cache(monkeypatch):
+    fam = build_phi_family()
+    f = random_band_limited(4)
+    littlewood_paley.clear_tables()
+    calls = []
+    step = littlewood_paley.smooth_step
+    monkeypatch.setattr(littlewood_paley, "smooth_step", lambda *a, **k: calls.append(1) or step(*a, **k))
+    phi_analyze(f, fam, 6)
+    assert calls
+    calls.clear()
+    phi_analyze(f, fam, 6)
+    assert not calls  # every window is a cache hit
+    littlewood_paley.clear_tables()
+    assert not littlewood_paley._TABLES
+    phi_analyze(f, fam, 6)
+    assert calls
 
 
 def test_round_trip_band_limited():
