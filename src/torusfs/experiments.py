@@ -23,8 +23,12 @@ over their annulus only.  The table cache holds one top scale's lattices
 at a time: each draw empties it when its top scale differs from the last
 one seen, and it is emptied before a pool forks.  For p = q = 2 the mixed
 norm is evaluated purely spectrally; only genuinely mixed norms (e.g.
-t = 1 under an L^2 integral) go through per-band inverse FFTs, restricted
-to the bands that carry spectrum.
+t = 1 under an L^2 integral) go back to space, one band-limited inverse
+transform per band that carries spectrum: band j is folded onto 2^(j+2)
+points and transformed as a batch of short rows that fit in cache, and
+its moduli are added in place into one stack kept in the batch order.
+Atom-train phases at dyadic cube centres are read from a table of roots
+of unity at exactly reduced integer indices.
 """
 
 from __future__ import annotations
@@ -344,21 +348,28 @@ def atom_train_spectrum(cfg: RandomAtomConfig, grid: Grid, draw: int = 0, smooth
         actives[k] = active
         if len(active) == 0:
             continue
+        roots = _dyadic_roots(z)
         if cfg.d == 1:
+            # The train is real, so its spectrum at -r is the conjugate of that
+            # at r: only the positive radii a..a+m-1, the first m table entries,
+            # are evaluated.  A last Nyquist entry holds the window at
+            # 2^(zeta+5), where it vanishes.
             idx, prof = _train_table(grid, z, smoothness)
-            amp = cfg.amplitude(k) * 2.0**-z
-            freqs_slice = _lattice_freqs(grid.n, idx)
-            centers = (active + 0.5) * 2.0**-z
-            phase_sum = np.exp(-2j * np.pi * np.outer(centers, freqs_slice)).sum(axis=0)
-            spec[idx] += amp * prof * phase_sum
+            m, n = len(idx) // 2, grid.n
+            r, a = idx[:m], int(idx[0])
+            part = roots[(2 * int(active[0]) + 1) * r & (len(roots) - 1)]
+            for cube in active[1:]:
+                part += roots[(2 * int(cube) + 1) * r & (len(roots) - 1)]
+            part *= prof[:m]
+            part *= cfg.amplitude(k) * 2.0**-z
+            spec[a : a + m] += part
+            spec[n - a - m + 1 : n - a + 1] += np.conj(part[::-1])
             continue
         prof = cfg.amplitude(k) * 2.0 ** (-z * cfg.d) * scatter(grid, _train_table(grid, z, smoothness))
-        side = 2.0**-z
-        freqs = grid.freqs()
+        xi = _lattice_freqs(grid.n, np.arange(grid.n))
         for flat in active:
             i, j = divmod(int(flat), 2**z)
-            phase = np.exp(-2j * np.pi * (((i + 0.5) * side) * freqs[0] + ((j + 0.5) * side) * freqs[1]))
-            spec += prof * phase
+            spec += prof * roots[((2 * i + 1) * xi[:, None] + (2 * j + 1) * xi[None, :]) & (len(roots) - 1)]
     return spec, actives
 
 
@@ -527,11 +538,23 @@ def _tables_for(top) -> None:
 
 
 def _lattice_freqs(n: int, idx: np.ndarray) -> np.ndarray:
-    """Signed xi at FFT-order indices of the size-n lattice: i below n/2, i - n from n/2 on.
+    """Signed integer xi at FFT-order indices of the size-n lattice: i below n/2, i - n from n/2 on.
 
     For a power-of-two n these are exactly numpy's FFT sample frequencies.
     """
-    return np.where(idx < n // 2, idx, idx - n).astype(float)
+    return np.where(idx < n // 2, idx, idx - n)
+
+
+def _dyadic_roots(z: int) -> np.ndarray:
+    """e^(-2 pi i k / N) for k = 0..N-1, N = 2^(z+1).
+
+    The centre of a side-2^-z dyadic cube is c = (2a+1) / N, so its phase
+    e^(-2 pi i c xi) is the entry ((2a+1) xi) mod N, reduced exactly in
+    integers (a mask with N - 1): no phase error grows with |c xi|, as it
+    does for np.exp of the product.
+    """
+    N = 2 ** (z + 1)
+    return np.exp(-2j * np.pi * (np.arange(N) / N))
 
 
 def _train_table(grid: Grid, zeta: int, smoothness: int = 1) -> tuple:
@@ -572,61 +595,128 @@ def _band_range(spec: np.ndarray) -> list:
 
 
 def _band_pieces(spec: np.ndarray):
-    """Yield (band, indices, windowed slice values) for bands with mass, the base band last."""
+    """Yield (band, indices, windowed slice values) for bands with mass, in ascending order."""
     grid = Grid(1, len(spec))
     lp = LPPartition(J=int(np.log2(grid.n)))
-    for j in _band_range(spec) + [0]:
+    for j in [0] + _band_range(spec):
         idx, w = lp.table(grid, j)
         piece = spec[idx] * w
         if np.any(piece):
             yield j, idx, piece
 
 
+def _twiddles(n: int, M: int) -> tuple:
+    """Two factors whose broadcast product is w_n^(xi b) on the batch of rows b = 0..R-1, R = n / M.
+
+    w_n = e^(2 pi i / n) and xi is the frequency of slot s of an M-point
+    fold (s - M in the upper half).  The longer axis, rows or slots, is
+    split as x = x_lo + S x_hi with S about its square root, and each factor
+    depends on one part only, so each holds about n / sqrt(max(R, M))
+    entries.  Every argument is reduced exactly in integers,
+    (xi b mod n) / n, before its exp.
+    """
+    R = n // M
+
+    def roots(b, s):
+        xi = np.where(s < M // 2, s, s - M)
+        return np.exp(2j * np.pi * (np.multiply.outer(b, xi) % n / n))
+
+    if R > M:  # b = lo + S hi: rows (hi, lo), slots whole
+        S = 2 ** (R.bit_length() // 2)
+        return roots(np.arange(0, R, S), np.arange(M))[:, None, :], roots(np.arange(S), np.arange(M))[None, :, :]
+    S = 2 ** (M.bit_length() // 2)  # s = lo + S hi; S <= M/2, so hi alone sets the sign of xi
+    return roots(np.arange(R), np.arange(0, M, S))[:, :, None], roots(np.arange(R), np.arange(S))[:, None, :]
+
+
 def _band_moduli(spec: np.ndarray):
-    """Yield (band, |band piece| on the lattice) for bands with mass, one inverse FFT each."""
+    """Yield (band, |band piece| on the lattice) for bands with mass, band-limited inverse FFTs.
+
+    Band j lies in |xi| < M/2 with M = min(2^(j+2), n), so its coefficients
+    fold onto M points without aliasing.  Writing m = a R + b with R = n / M,
+
+        f[a R + b] = sum_xi (c_xi w_n^(xi b)) w_M^(xi a),
+
+    so the n values are R inverse FFTs of M points, one per row b of an
+    (R, M) batch: a four-step FFT with its zero blocks pruned.  The moduli
+    come in that batch order, |f[a R + b]| at [b, a], in one buffer that
+    the next band overwrites.  For R = 1 this is the plain full transform.
+    """
     import scipy.fft
 
-    buf = np.zeros(len(spec), dtype=complex)
+    n = len(spec)
+    batch = np.empty(n, dtype=complex)
+    moduli = np.empty(n)
     for j, idx, piece in _band_pieces(spec):
-        buf[idx] = piece
-        yield j, np.abs(scipy.fft.ifft(buf, norm="forward"))
-        buf[idx] = 0
+        M = min(2 ** (j + 2), n)
+        R = n // M
+        folded = np.zeros(M, dtype=complex)
+        folded[idx % M] = piece
+        rows = batch.reshape(R, M)
+        if R == 1:
+            rows[0] = folded
+        else:
+            hi, lo = _twiddles(n, M)
+            np.multiply(hi, lo, out=rows.reshape(np.broadcast_shapes(hi.shape, lo.shape)))
+            rows *= folded
+        vals = moduli.reshape(R, M)
+        np.abs(scipy.fft.ifft(rows, axis=-1, norm="forward", overwrite_x=True), out=vals)
+        yield j, vals
+
+
+def _regroup(src: np.ndarray, dst: np.ndarray, R: int, R_new: int) -> np.ndarray:
+    """Copy lattice values from the batch order of R rows into that of R_new <= R rows; return dst.
+
+    In the batch order of R rows the value at m = a R + b sits at b n/R + a.
+    With k = R / R_new, row b = b' + R_new beta goes to row b', column
+    a k + beta.
+    """
+    n, k = len(src), R // R_new
+    d, s = dst.reshape(R_new, n // R, k), src.reshape(k, R_new, n // R)
+    if k > n // R:
+        np.copyto(d, s.transpose(1, 2, 0))
+    else:  # one copy per beta along rows n/R long: a single copyto would run over beta innermost
+        for beta in range(k):
+            d[:, :, beta] = s[beta]
+    return dst
 
 
 def _mixed_norm(spec: np.ndarray, p: float, t: float) -> float:
     """L^p norm of the pointwise l^t band stack for a d = 1 spectrum.
 
-    Falls back to the spectral formula for p = t = 2; otherwise inverse
-    transforms one band at a time (only bands carrying mass).
+    Falls back to the spectral formula for p = t = 2; otherwise adds the
+    band moduli (to the power t) in place into one stack, band by band
+    (only bands carrying mass).  The stack follows the batch order of the
+    band at hand and is regrouped when the next band's order differs; the
+    L^p norm does not depend on the order of the lattice points.
     """
     if p == 2.0 and t == 2.0:
         return _f22_norm(spec)
-    stack = None
+    stack, spare = np.zeros(len(spec)), np.empty(len(spec))
+    rows = None  # the zero stack is in every batch order
     for _, vals in _band_moduli(spec):
-        part = vals if np.isinf(t) else vals**t
-        if stack is None:
-            stack = part
-        elif np.isinf(t):
-            np.maximum(stack, part, out=stack)
-        else:
-            stack += part
-    if stack is None:
-        return 0.0
-    combined = stack if np.isinf(t) else stack ** (1.0 / t)
+        if rows is not None and vals.shape[0] < rows:  # bands ascend, so rows only shrink
+            stack, spare = _regroup(stack, spare, rows, vals.shape[0]), stack
+        rows = vals.shape[0]
+        vals = vals.reshape(-1)
+        if np.isinf(t):
+            np.maximum(stack, vals, out=stack)
+            continue
+        if t != 1.0:
+            np.power(vals, t, out=vals)
+        stack += vals
+    if not np.isinf(t) and t != 1.0:
+        np.power(stack, 1.0 / t, out=stack)
     if np.isinf(p):
-        return float(combined.max())
-    return float((np.mean(combined**p)) ** (1.0 / p))
+        return float(stack.max())
+    np.power(stack, p, out=stack)
+    return float(np.mean(stack) ** (1.0 / p))
 
 
-def _band_lp_norms(spec: np.ndarray, p: float) -> dict:
-    """Per-band L^p norms of a d = 1 spectrum (spectral for p = 2)."""
-    if p == 2.0:
-        # not np.linalg.norm: its BLAS reduction sums in an order that
-        # depends on the thread count
-        return {j: float(np.sqrt(np.sum(np.abs(piece) ** 2))) for j, _, piece in _band_pieces(spec)}
-    if np.isinf(p):
-        return {j: float(vals.max()) for j, vals in _band_moduli(spec)}
-    return {j: float(np.mean(vals**p) ** (1.0 / p)) for j, vals in _band_moduli(spec)}
+def _band_lp_norms(spec: np.ndarray) -> dict:
+    """Per-band L^2 norms of a d = 1 spectrum, evaluated spectrally."""
+    # not np.linalg.norm: its BLAS reduction sums in an order that depends
+    # on the thread count
+    return {j: float(np.sqrt(np.sum(np.abs(piece) ** 2))) for j, _, piece in _band_pieces(spec)}
 
 
 def _fspace_draw(args) -> tuple:
@@ -772,7 +862,7 @@ def _bspace_draw(args) -> tuple:
     spec = radial_window(grid, ("lacunary", zc_pairs), lacunary, -1.0, np.inf)
     mult = multiplier_on_lattice(lac, grid, draw)
     out_spec = mult * spec
-    norms = _band_lp_norms(out_spec, 2.0)
+    norms = _band_lp_norms(out_spec)
     return (draw, norms)
 
 
@@ -817,7 +907,7 @@ def bspace_growth_experiment(
         coeffs = lacunary_coeffs(atoms_L, q, coeff_mode)
         grid_in = Grid(1, 2 ** (atoms_L.zeta(L) + 6))
         g = lacunary_test_function(atoms_L, grid_in, q=q, coeffs=coeffs)
-        in_band = _band_lp_norms(g.spectrum, 2.0)
+        in_band = _band_lp_norms(g.spectrum)
         ks = sorted(in_band)
         raw_in = float(np.sum([in_band[j] ** q for j in ks]) ** (1.0 / q)) if not np.isinf(q) else max(in_band.values())
         coeffs = {k: c / raw_in for k, c in coeffs.items()}  # calibrate the input norm to 1

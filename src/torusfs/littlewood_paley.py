@@ -50,15 +50,24 @@ def _first_above(x: float, step: float, count: int) -> int:
     return i
 
 
+def _profile_1d(grid: Grid, profile, lo: float, hi: float) -> tuple:
+    """(a, vals, m, z): the profile at the 1-D lattice radii a, a+1, ... on lo < r < hi.
+
+    The first m radii have a negative twin, except the first when it is 0
+    (z = 1); a last radius past those m is the Nyquist radius n/2.
+    """
+    n, half = grid.n, grid.n // 2
+    step = 1.0 / (n * (grid.period / n))  # numpy's fftfreq spacing: radii match freq_radii() to the bit
+    a, b = _first_above(lo, step, half), _first_above(np.nextafter(hi, -np.inf), step, half)
+    radii = np.arange(a, b + (lo < half * step <= hi))  # the Nyquist radius n/2 follows b = n/2
+    return a, profile(radii * step), b - a, int(a == 0)
+
+
 def _build_table(grid: Grid, profile, lo: float, hi: float) -> tuple:
     if grid.dim == 1:
-        n, half = grid.n, grid.n // 2
-        step = 1.0 / (n * (grid.period / n))  # numpy's fftfreq spacing: radii match freq_radii() to the bit
-        a, b = _first_above(lo, step, half), _first_above(np.nextafter(hi, -np.inf), step, half)
-        radii = np.arange(a, b + (lo < half * step <= hi))  # the Nyquist radius n/2 follows b = n/2
-        vals = profile(radii * step)
-        m, z = b - a, int(a == 0)  # 0 is its own negative
-        idx = np.concatenate([radii[:m], n - radii[z:m], radii[m:]])
+        a, vals, m, z = _profile_1d(grid, profile, lo, hi)
+        radii = np.arange(a, a + len(vals))
+        idx = np.concatenate([radii[:m], grid.n - radii[z:m], radii[m:]])
         return idx, np.concatenate([vals[:m], vals[z:m], vals[m:]])
     r = grid.freq_radii().ravel()
     radii, inv = np.unique(r, return_inverse=True)
@@ -91,11 +100,20 @@ def radial_window(grid: Grid, key, profile, lo: float, hi: float) -> np.ndarray:
     """:func:`radial_table` scattered onto the lattice, cached as that array.
 
     For windows needed at every lattice point; the table itself is not kept,
-    and a key names either a table or a window.
+    and a key names either a table or a window.  In 1-D the values are
+    written straight into FFT order, without the table's index array.
     """
     w = _TABLES.get((grid, key))
     if w is None:
-        w = _TABLES[(grid, key)] = scatter(grid, _build_table(grid, profile, lo, hi))
+        if grid.dim == 1:
+            a, vals, m, z = _profile_1d(grid, profile, lo, hi)
+            n = grid.n
+            w = np.zeros(n, dtype=vals.dtype)
+            w[a : a + len(vals)] = vals
+            w[n - a - m + 1 : n - a - z + 1] = vals[z:m][::-1]  # index n - r of the radius r, descending
+        else:
+            w = scatter(grid, _build_table(grid, profile, lo, hi))
+        _TABLES[(grid, key)] = w
         w.flags.writeable = False
     return w
 

@@ -15,6 +15,7 @@ from torusfs.experiments import (
     LacunaryConfig,
     RandomAtomConfig,
     atom_train_image,
+    atom_train_spectrum,
     bspace_growth_experiment,
     fspace_growth_experiment,
     image_shell_leakage,
@@ -355,21 +356,119 @@ def test_stack_weight_matches_dense_construction(log_n):
     assert np.array_equal(radial_window(make_grid(1, n), ("stack",), None, -1.0, np.inf), dense)
 
 
-@settings(max_examples=20, deadline=None)
-@given(log_n=st.integers(3, 12), seed=st.integers(0, 2**16))
-def test_mixed_norm_matches_dense_band_transforms(log_n, seed):
+def _random_spectrum(n, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (rng.random(n) < 0.3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_n=st.integers(3, 12),
+    seed=st.integers(0, 2**16),
+    p=st.sampled_from([1.0, 1.5, 2.0, np.inf]),
+    t=st.sampled_from([1.0, 1.5, 2.0, np.inf]),
+)
+def test_mixed_norm_matches_dense_band_transforms(log_n, seed, p, t):
+    if p == t == 2.0:
+        return  # spectral, pinned by test_stack_weight_matches_dense_construction
     n = 2**log_n
     clear_tables()
-    rng = np.random.default_rng(seed)
-    spec = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * (rng.random(n) < 0.3)
+    spec = _random_spectrum(n, seed)
     lp = build_partition(3)
     r = _dense_radii(n)
-    stack = np.abs(np.fft.ifft(spec * lp.base(r)) * n)
-    for j in range(1, log_n + 1):
-        stack += np.abs(np.fft.ifft(spec * lp.mother(r / 2.0**j)) * n)
-    dense = float(np.mean(stack**2) ** 0.5)
-    got = experiments._mixed_norm(spec, 2.0, 1.0)
+    windows = [lp.base(r)] + [lp.mother(r / 2.0**j) for j in range(1, log_n + 1)]
+    moduli = np.array([np.abs(np.fft.ifft(spec * w) * n) for w in windows])
+    stack = moduli.max(axis=0) if np.isinf(t) else np.sum(moduli**t, axis=0) ** (1.0 / t)
+    dense = float(stack.max() if np.isinf(p) else np.mean(stack**p) ** (1.0 / p))
+    got = experiments._mixed_norm(spec, p, t)
     assert abs(got - dense) <= 1e-12 * dense
+
+
+def _assert_band_moduli_match_dense(spec):
+    import scipy.fft
+
+    n = len(spec)
+    # lockstep: each band's moduli are in one buffer, valid until the next band
+    for (j, idx, piece), (band, vals) in zip(experiments._band_pieces(spec), experiments._band_moduli(spec), strict=True):
+        assert band == j
+        M = min(2 ** (j + 2), n)
+        assert vals.shape == (n // M, M)  # |f[a R + b]| at [b, a]
+        dense = np.zeros(n, dtype=complex)
+        dense[idx] = piece
+        dense = np.abs(scipy.fft.ifft(dense, norm="forward"))
+        assert np.max(np.abs(vals.T.ravel() - dense)) <= 1e-13 * dense.max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_n=st.integers(3, 16), seed=st.integers(0, 2**16))
+def test_band_moduli_match_dense_inverse_fft(log_n, seed):
+    clear_tables()
+    _assert_band_moduli_match_dense(_random_spectrum(2**log_n, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_n=st.integers(3, 14), data=st.data())
+def test_regroup_moves_between_batch_orders(log_n, data):
+    # batch order of R rows: the value at m = a R + b sits at b n/R + a
+    n = 2**log_n
+    R = 2 ** data.draw(st.integers(0, log_n))
+    R_new = R >> data.draw(st.integers(0, R.bit_length() - 1))
+    lattice = np.random.default_rng(log_n).random(n)
+    batch = lattice.reshape(n // R, R).T.ravel()
+    got = experiments._regroup(batch, np.empty(n), R, R_new)
+    assert np.array_equal(got, lattice.reshape(n // R_new, R_new).T.ravel())
+
+
+def test_band_moduli_match_dense_inverse_fft_at_criterion_size():
+    # criterion 8's output lattice: low bands (many short rows) and the top
+    # bands (R = 2 and the full transform)
+    n = 2**21
+    r = _dense_radii(n)
+    clear_tables()
+    _assert_band_moduli_match_dense(_random_spectrum(n, 8) * ((r < 2.0**8) | (r > 2.0**18)))
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**16), p=st.sampled_from([1.5, 2.0]), t=st.sampled_from([1.0, 2.0]))
+def test_fspace_reports_identical_across_worker_counts(seed, p, t):
+    lac = LacunaryConfig(L=5, spacing=2, m=-abs(1.0 / p - 0.5), seed=seed)
+    atoms = RandomAtomConfig(L=5, spacing=2, p=p, seed=seed)
+    serial = fspace_growth_experiment(lac, atoms, p, p, t, draws=2, L_list=[3, 4, 5], workers=1)
+    pooled = fspace_growth_experiment(lac, atoms, p, p, t, draws=2, L_list=[3, 4, 5], workers=2)
+    assert serial.to_json() == pooled.to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(z=st.integers(0, 5), data=st.data())
+def test_dyadic_root_phases_match_exp(z, data):
+    # the root table is read at ((2a+1) xi) mod 2^(z+1); np.exp of the
+    # product agrees while its argument stays small
+    a = np.array(data.draw(st.lists(st.integers(0, 2**z - 1), min_size=1, max_size=4)))
+    xi = np.arange(-(2 ** (z + 5)), 2 ** (z + 5) + 1)
+    roots = experiments._dyadic_roots(z)
+    table = roots[np.outer(2 * a + 1, xi) % len(roots)]
+    direct = np.exp(-2j * np.pi * np.outer((a + 0.5) * 2.0**-z, xi))
+    assert np.max(np.abs(table - direct)) <= 1e-12
+
+
+@pytest.mark.parametrize("d, L", [(1, 4), (2, 3)])
+def test_atom_train_phases_match_exp_reference(d, L):
+    cfg = RandomAtomConfig(L=L, spacing=1, seed=4, d=d, k0=1)
+    grid = make_grid(d, 2 ** (cfg.zeta(L) + 6))
+    freqs = grid.freqs()
+    cubes = 0
+    for draw in range(4):
+        spec, actives = atom_train_spectrum(cfg, grid, draw)
+        cubes += sum(len(a) for a in actives.values())
+        ref = np.zeros(grid.shape, dtype=complex)
+        for k in cfg.scales():
+            z = cfg.zeta(k)
+            prof = reproducing_profile(grid.freq_radii() / 2.0**z) * cfg.amplitude(k) * 2.0 ** (-z * d)
+            for flat in actives[k]:
+                centre = [(c + 0.5) * 2.0**-z for c in np.unravel_index(flat, (2**z,) * d)]
+                ref += prof * np.exp(-2j * np.pi * sum(c * f for c, f in zip(centre, freqs)))
+        assert np.max(np.abs(spec - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
+    assert cubes >= 3
 
 
 _BAND_NORMS = """
@@ -377,7 +476,7 @@ import numpy as np
 from torusfs.experiments import _band_lp_norms
 rng = np.random.default_rng(20)
 spec = rng.standard_normal(2**20) + 1j * rng.standard_normal(2**20)
-print(repr(sorted(_band_lp_norms(spec, 2.0).items())))
+print(repr(sorted(_band_lp_norms(spec).items())))
 """
 
 

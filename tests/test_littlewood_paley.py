@@ -14,6 +14,8 @@ from torusfs.littlewood_paley import (
     check_partition,
     clear_tables,
     export_profiles_csv,
+    radial_table,
+    radial_window,
     scatter,
 )
 from torusfs.spaces import build_phi_family
@@ -183,3 +185,22 @@ def test_scattered_tables_equal_dense_profiles(dim, log_n, period, smoothness):
     for z in range(3):
         train = scatter(grid, experiments._train_table(grid, z, smoothness))
         assert np.array_equal(train, reproducing_profile(radii / 2.0**z, smoothness))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    log_n=st.integers(3, 10),
+    period=st.sampled_from([1.0, 2.0, 0.3]),
+    lo=st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), st.floats(-1.0, 600.0)),
+    width=st.one_of(st.just(np.inf), st.floats(0.0, 600.0)),
+)
+def test_radial_window_equals_scattered_table(dim, log_n, period, lo, width):
+    # the window written straight into FFT order is the scattered table, to the bit
+    grid = make_grid(dim, 2**log_n, period)
+    hi = lo + width
+    clear_tables()
+    table = radial_table(grid, ("table",), lambda r: 1.0 + r, lo, hi)
+    window = radial_window(grid, ("window",), lambda r: 1.0 + r, lo, hi)
+    assert window.dtype == table[1].dtype
+    assert np.array_equal(window, scatter(grid, table))
