@@ -173,11 +173,6 @@ _SUITES = {
 }
 
 
-def _expected_failures(suite: str):
-    """Audits run outside their hypotheses on purpose (necessity checks)."""
-    return {"peetre": {1}, "vector-maximal": {1}, "cube-tail": {1}}.get(suite, set())
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 # ---------------------------------------------------------------------------
@@ -266,12 +261,11 @@ def _cmd_audit(cfg) -> int:
             print(f"audit {name} raised: {exc}", file=sys.stderr)
             raised.append(name)
             continue
-        expected_fail = _expected_failures(name)
         for i, rep in enumerate(reports):
             stem = f"audit-{name}" if len(reports) == 1 else f"audit-{name}-{i}"
             _write_outputs(rep, outdir, stem, cfg)
             _print(rep)
-            ok = (not rep.passed) if i in expected_fail else rep.passed
+            ok = rep.passed != bool(rep.details.get("outside_hypothesis"))  # a necessity run passes by failing
             if not ok:
                 detail = json.dumps({"measured": rep.constant, "tolerance": rep.tolerance})
                 print(f"audit {rep.name} violated its pass rule: {detail}", file=sys.stderr)

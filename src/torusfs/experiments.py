@@ -213,7 +213,7 @@ def _sign_lookup_1d(signs: dict, cfg: LacunaryConfig, n_int: np.ndarray) -> np.n
     return out
 
 
-def rademacher_multiplier(cfg: LacunaryConfig, draw: int = 0, smoothness: int = 1) -> Symbol:
+def rademacher_multiplier(cfg: LacunaryConfig, draw: int = 0) -> Symbol:
     """Multiplier sum_k 2^(zeta_k m) sum_{n in shell k} sign_n phihat(xi - n).
 
     Each translated window reaches two units from its shell point, so each
@@ -221,7 +221,7 @@ def rademacher_multiplier(cfg: LacunaryConfig, draw: int = 0, smoothness: int = 
     scans those neighbors.
     """
     signs = rademacher_signs(cfg, draw)
-    lp = LPPartition(J=3, smoothness=smoothness)
+    lp = LPPartition(J=3)
     weights = {k: 2.0 ** (cfg.zeta(k) * cfg.m) for k in cfg.scales()}
 
     def scale_weight(n_int):
@@ -281,17 +281,19 @@ def rademacher_multiplier(cfg: LacunaryConfig, draw: int = 0, smoothness: int = 
     return Symbol.multiplier(g2, cfg.m, 2, f"rademacher(L={cfg.L},seed={cfg.seed},draw={draw})")
 
 
-def multiplier_on_lattice(cfg: LacunaryConfig, grid: Grid, draw: int = 0, smoothness: int = 1) -> np.ndarray:
+def multiplier_on_lattice(cfg: LacunaryConfig, grid: Grid, draw: int = 0) -> np.ndarray:
     """Shell multiplier sampled on the grid's frequency lattice (d = 1, fast).
 
     Assembled shell by shell: each integer lattice frequency xi receives
-    sign_n * phihat(xi - n) from the shell points n within distance 2.
+    sign_n * phihat(xi - n) from the shell points n within distance 2.  Each
+    shell side and tap is one slice add: a shell point c feeds index
+    c + delta, and -c feeds grid.n - c + delta, in reverse shell order.
     """
     if cfg.d != 1 or grid.dim != 1:
         raise ValueError("lattice fast path is one-dimensional")
     if cfg.shell_top() > grid.nyquist:
         raise ValueError(f"shell top {cfg.shell_top()} exceeds grid Nyquist {grid.nyquist}")
-    lp = LPPartition(J=3, smoothness=smoothness)
+    lp = LPPartition(J=3)
     n = grid.n
     out = np.zeros(n, dtype=complex)
     signs = rademacher_signs(cfg, draw)
@@ -301,12 +303,10 @@ def multiplier_on_lattice(cfg: LacunaryConfig, grid: Grid, draw: int = 0, smooth
         lo, hi = cfg.shell_bounds(k)
         pos, neg = signs[k]
         weight = 2.0 ** (cfg.zeta(k) * cfg.m)
-        shell = np.arange(lo, hi)
-        for sign_arr, side in ((pos, 1), (neg, -1)):
-            centers = side * shell
-            for delta, w in taps:
-                xi = centers + delta
-                out[xi % n] += weight * w * sign_arr
+        for delta, w in taps:
+            out[lo + delta : hi + delta] += weight * w * pos
+        for delta, w in taps:
+            out[n - hi + 1 + delta : n - lo + 1 + delta] += (weight * w * neg)[::-1]
     return out
 
 
@@ -315,19 +315,19 @@ def multiplier_on_lattice(cfg: LacunaryConfig, grid: Grid, draw: int = 0, smooth
 # ---------------------------------------------------------------------------
 
 
-def reproducing_profile(r, smoothness: int = 1):
+def reproducing_profile(r):
     """Transform of the four-band window: 1 on [2, 16], 0 outside (1, 32)."""
-    lp = LPPartition(J=4, smoothness=smoothness)
+    lp = LPPartition(J=4)
     r = np.asarray(r, dtype=float)
     return lp.partial_sum(4, r) - lp.partial_sum(0, r)
 
 
-def reproducing_window(grid: Grid, smoothness: int = 1) -> GridFunction:
+def reproducing_window(grid: Grid) -> GridFunction:
     """The window itself, sampled on a grid (transform taken on the lattice)."""
-    return GridFunction.from_spectrum(grid, scatter(grid, _train_table(grid, 0, smoothness)).astype(complex))
+    return GridFunction.from_spectrum(grid, scatter(grid, _train_table(grid, 0)).astype(complex))
 
 
-def atom_train_spectrum(cfg: RandomAtomConfig, grid: Grid, draw: int = 0, smoothness: int = 1):
+def atom_train_spectrum(cfg: RandomAtomConfig, grid: Grid, draw: int = 0):
     """Spectrum of the random window train, plus the active cubes per scale.
 
     Each active cube Q of side 2^-zeta contributes
@@ -354,7 +354,7 @@ def atom_train_spectrum(cfg: RandomAtomConfig, grid: Grid, draw: int = 0, smooth
             # at r: only the positive radii a..a+m-1, the first m table entries,
             # are evaluated.  A last Nyquist entry holds the window at
             # 2^(zeta+5), where it vanishes.
-            idx, prof = _train_table(grid, z, smoothness)
+            idx, prof = _train_table(grid, z)
             m, n = len(idx) // 2, grid.n
             r, a = idx[:m], int(idx[0])
             part = roots[(2 * int(active[0]) + 1) * r & (len(roots) - 1)]
@@ -365,7 +365,7 @@ def atom_train_spectrum(cfg: RandomAtomConfig, grid: Grid, draw: int = 0, smooth
             spec[a : a + m] += part
             spec[n - a - m + 1 : n - a + 1] += np.conj(part[::-1])
             continue
-        prof = cfg.amplitude(k) * 2.0 ** (-z * cfg.d) * scatter(grid, _train_table(grid, z, smoothness))
+        prof = cfg.amplitude(k) * 2.0 ** (-z * cfg.d) * scatter(grid, _train_table(grid, z))
         xi = _lattice_freqs(grid.n, np.arange(grid.n))
         for flat in active:
             i, j = divmod(int(flat), 2**z)
@@ -379,34 +379,28 @@ def random_atom_train(cfg: RandomAtomConfig, grid: Grid, draw: int = 0) -> GridF
     return GridFunction.from_spectrum(grid, spec)
 
 
-def lacunary_coeffs(cfg: RandomAtomConfig, q: float, mode: str = "flat", eta: float = 0.1) -> dict:
-    """Deterministic amplitudes C_k for the lacunary sum.
+def lacunary_coeffs(cfg: RandomAtomConfig, q: float) -> dict:
+    """Deterministic flat amplitudes C_k for the lacunary sum.
 
-    mode='flat' normalizes the band l^q sum to 1 for every L (the scale
-    count to the power -1/q); mode='power' uses the decaying k^(-1/2-eta)
-    profile.  Both make the input band norm bounded while the l^t
+    They normalize the band l^q sum to 1 for every L (the scale count to the
+    power -1/q), so the input band norm stays bounded while the l^t
     combination grows for t < q.
     """
     count = len(list(cfg.scales()))
     out = {}
     for k in cfg.scales():
         base = 2.0 ** (-cfg.zeta(k) * cfg.d * (1.0 - 1.0 / cfg.p))
-        if mode == "flat":
-            out[k] = base * count ** (-1.0 / q) if not np.isinf(q) else base
-        elif mode == "power":
-            out[k] = base * k ** (-0.5 - eta)
-        else:
-            raise ValueError(f"unknown coefficient mode {mode!r}")
+        out[k] = base * count ** (-1.0 / q) if not np.isinf(q) else base
     return out
 
 
 def lacunary_test_function(
-    cfg: RandomAtomConfig, grid: Grid, q: float = 2.0, mode: str = "flat", coeffs: dict | None = None
+    cfg: RandomAtomConfig, grid: Grid, q: float = 2.0, coeffs: dict | None = None
 ) -> GridFunction:
     """Deterministic lacunary sum of rescaled windows at the origin."""
     if cfg.window_top() > grid.nyquist:
         raise ValueError(f"window top {cfg.window_top()} exceeds grid Nyquist {grid.nyquist}")
-    coeffs = coeffs or lacunary_coeffs(cfg, q, mode)
+    coeffs = coeffs or lacunary_coeffs(cfg, q)
     spec = np.zeros(grid.shape, dtype=complex)
     for k in cfg.scales():
         spec += coeffs[k] * scatter(grid, _train_table(grid, cfg.zeta(k)))
@@ -557,10 +551,10 @@ def _dyadic_roots(z: int) -> np.ndarray:
     return np.exp(-2j * np.pi * (np.arange(N) / N))
 
 
-def _train_table(grid: Grid, zeta: int, smoothness: int = 1) -> tuple:
+def _train_table(grid: Grid, zeta: int) -> tuple:
     """Radial table of the scale-zeta train window, reproducing_profile(|xi| / 2^zeta)."""
     return radial_table(
-        grid, ("train", zeta, smoothness), lambda r: reproducing_profile(r / 2.0**zeta, smoothness),
+        grid, ("train", zeta), lambda r: reproducing_profile(r / 2.0**zeta),
         2.0**zeta, 2.0 ** (zeta + 5),
     )
 
@@ -874,15 +868,14 @@ def bspace_growth_experiment(
     t: float,
     draws: int = 100,
     L_list=None,
-    coeff_mode: str = "flat",
     tol: float = 0.05,
     workers: int = 1,
 ) -> AuditReport:
     """Band-norm growth of the shell multiplier on the lacunary sum.
 
-    The amplitudes C_k are chosen (mode recorded in the report) so the
-    input band norm stays bounded in L while the l^t output combination
-    grows; the designed exponent for the flat choice is 1/t - 1/q.  On top
+    The flat amplitudes C_k of lacunary_coeffs keep the input band norm
+    bounded in L while the l^t output combination grows with the designed
+    exponent 1/t - 1/q (the report records "coeff_mode": "flat").  On top
     of the per-scale profile, the whole coefficient vector is calibrated so
     the measured input norm equals 1 for every L (window overlap between
     neighboring scales would otherwise drift it by an L-dependent factor),
@@ -895,7 +888,7 @@ def bspace_growth_experiment(
     if lac.d != 1:
         raise ValueError("one-dimensional")
     L_list = _check_L_list(lac, L_list)
-    designed_eps = (1.0 / t - 1.0 / q) if coeff_mode == "flat" else None
+    designed_eps = 1.0 / t - 1.0 / q
     rows = []
     draw_rows = []
     counts, in_vals, out_vals = [], [], []
@@ -904,7 +897,7 @@ def bspace_growth_experiment(
         _tables_for(L)
         lac_L = replace(lac, L=L)
         atoms_L = replace(atoms, L=L)
-        coeffs = lacunary_coeffs(atoms_L, q, coeff_mode)
+        coeffs = lacunary_coeffs(atoms_L, q)
         grid_in = Grid(1, 2 ** (atoms_L.zeta(L) + 6))
         g = lacunary_test_function(atoms_L, grid_in, q=q, coeffs=coeffs)
         in_band = _band_lp_norms(g.spectrum)
@@ -930,12 +923,12 @@ def bspace_growth_experiment(
         rows.append({"L": L, "scales": count, "input_norm": in_norm, "raw_input_norm": raw_in, "output_norm": out_norm})
     in_drift = _drift(in_vals)
     out_slope = _fit_slope(np.log2(counts), out_vals)
-    passed = in_drift <= 0.10 and (designed_eps is None or out_slope >= designed_eps - tol)
+    passed = in_drift <= 0.10 and out_slope >= designed_eps - tol
     return AuditReport(
         name="band-norm-growth",
         params={
             "p": p, "q": q, "t": t, "m": lac.m, "spacing": lac.spacing, "k0": lac.k0,
-            "L_list": list(L_list), "draws": draws, "seed": lac.seed, "coeff_mode": coeff_mode, "tol": tol,
+            "L_list": list(L_list), "draws": draws, "seed": lac.seed, "coeff_mode": "flat", "tol": tol,
         },
         constant=out_vals[-1],
         table=rows,
@@ -946,6 +939,6 @@ def bspace_growth_experiment(
             "output_slope": out_slope,
             "designed_exponent": designed_eps,
             "draw_rows": draw_rows,
-            "coefficients_recorded": {str(k): v for k, v in lacunary_coeffs(replace(atoms, L=L_list[-1]), q, coeff_mode).items()},
+            "coefficients_recorded": {str(k): v for k, v in lacunary_coeffs(replace(atoms, L=L_list[-1]), q).items()},
         },
     )

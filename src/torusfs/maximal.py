@@ -15,6 +15,7 @@ realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -83,8 +84,13 @@ def hl_maximal(f: GridFunction, variant: str = "centered", t: float = 1.0) -> Gr
 
         acc = a.copy()  # width-1 window: the point itself
         np.maximum(acc, a.mean(), out=acc)  # the whole torus
+        box = np.empty_like(a)
         for w in range(3, n, 2):
-            np.maximum(acc, ndimage.uniform_filter(a, size=w, mode="wrap"), out=acc)
+            # uniform_filter's own 1-D passes into one buffer, without its per-call set-up
+            src = a
+            for axis in range(a.ndim):
+                src = ndimage.uniform_filter1d(src, w, axis, box, mode="wrap")
+            np.maximum(acc, box, out=acc)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return GridFunction.from_samples(f.grid, acc ** (1.0 / t))
@@ -229,6 +235,40 @@ def _safe_ratio_max(num: np.ndarray, den: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _best(trials, ratio) -> float:
+    """Largest ratio(trial) over the trials, from 0.0; a None ratio (zero denominator) is skipped."""
+    best = 0.0
+    for r in map(ratio, trials):
+        if r is not None:
+            best = max(best, r)
+    return best
+
+
+def _doubling_audit(name, params, d, ns, xs, key, trials, ratio, details) -> AuditReport:
+    """Best ratio(grid, x, trial) per grid size n and sweep point x, judged for stability.
+
+    Stable means a log2-slope in x of at most _SLOPE_TOL at every n and a
+    drift of the per-n maxima under grid doubling of at most _DRIFT_TOL.
+    """
+    rows = []
+    per_n = {}
+    for n in ns:
+        grid = Grid(d, n)
+        per_n[n] = [_best(range(trials), partial(ratio, grid, x)) for x in xs]
+        rows += [{"n": n, key: x, "constant": c} for x, c in zip(xs, per_n[n])]
+    slopes = {n: _fit_slope(xs, c) for n, c in per_n.items()}
+    drift = _drift([max(c) for c in per_n.values()])
+    return AuditReport(
+        name=name,
+        params=params,
+        constant=max(max(c) for c in per_n.values()),
+        table=rows,
+        passed=all(s <= _SLOPE_TOL for s in slopes.values()) and drift <= _DRIFT_TOL,
+        tolerance=_SLOPE_TOL,
+        details={"slope_per_n": {str(n): s for n, s in slopes.items()}, "doubling_drift": drift, **details},
+    )
+
+
 def audit_peetre_domination(
     bands: int = 3,
     trials: int = 20,
@@ -237,58 +277,33 @@ def audit_peetre_domination(
     d: int = 1,
     ns=(256, 512),
     seed: int = 0,
-    include_spikes: bool = True,
 ) -> AuditReport:
     """Measure sup_x of the weighted-sup operator against the t-maximal one.
 
     For each band k the inputs have spectrum in {|xi| <= 2^(k+1)} and the
     weighted sup uses decay scale r = 2^k.  The recorded constant should be
     stable in k and under grid doubling iff sigma >= d/t; below that
-    threshold the spike inputs make it grow like 2^(k (d/t - sigma)).
+    threshold the spike input (trial 0) makes it grow like 2^(k (d/t - sigma)).
     """
-    sigma_crit = d / t
     ks = list(range(3, 3 + bands))
-    per_n = {}
-    rows = []
     for n in ns:
-        grid = Grid(d, n)
-        if 2.0 ** (ks[-1] + 1) >= grid.nyquist:
+        if 2.0 ** (ks[-1] + 1) >= Grid(d, n).nyquist:
             raise ValueError(f"band {ks[-1]} needs a finer grid than n={n}")
-        consts = []
-        for k in ks:
-            best = 0.0
-            for trial in range(trials):
-                rng = np.random.default_rng([seed, k, trial])
-                kind = "spike" if include_spikes and trial == 0 else "random"
-                u = band_limited_function(grid, 2.0 ** (k + 1), rng, kind=kind)
-                num = peetre_maximal(u, PeetreParams(sigma, 2.0**k)).samples.real
-                den = hl_maximal(u, "centered", t).samples.real
-                best = max(best, _safe_ratio_max(num, den))
-            consts.append(best)
-            rows.append({"n": n, "band": k, "constant": best})
-        per_n[n] = consts
-    slopes = {n: _fit_slope(ks, c) for n, c in per_n.items()}
-    overall = {n: max(c) for n, c in per_n.items()}
-    drift = _drift(list(overall.values()))
-    stable = all(s <= _SLOPE_TOL for s in slopes.values()) and drift <= _DRIFT_TOL
-    return AuditReport(
-        name="peetre-domination",
-        params={"bands": bands, "trials": trials, "sigma": sigma, "t": t, "d": d, "ns": list(ns), "seed": seed},
-        constant=max(overall.values()),
-        table=rows,
-        passed=stable,
-        tolerance=_SLOPE_TOL,
-        details={
-            "slope_per_n": {str(n): slopes[n] for n in slopes},
-            "doubling_drift": drift,
-            "sigma_critical": sigma_crit,
-            "outside_hypothesis": sigma < sigma_crit,
-        },
-    )
+
+    def ratio(grid, k, trial):
+        rng = np.random.default_rng([seed, k, trial])
+        u = band_limited_function(grid, 2.0 ** (k + 1), rng, kind="spike" if trial == 0 else "random")
+        num = peetre_maximal(u, PeetreParams(sigma, 2.0**k)).samples.real
+        return _safe_ratio_max(num, hl_maximal(u, "centered", t).samples.real)
+
+    params = {"bands": bands, "trials": trials, "sigma": sigma, "t": t, "d": d, "ns": list(ns), "seed": seed}
+    details = {"sigma_critical": d / t, "outside_hypothesis": sigma < d / t}
+    return _doubling_audit("peetre-domination", params, d, ns, ks, "band", trials, ratio, details)
 
 
-def _band_family(grid: Grid, ks, seed: int, trial: int, kind: str):
-    """One family u_k in E(2^k), k in ks, with n-independent coefficients."""
+def _band_family(grid: Grid, ks, seed: int, trial: int):
+    """One family u_k in E(2^k), k in ks, with n-independent coefficients and a kind cycling with the trial."""
+    kind = ("spikes-aligned", "random", "spikes-staggered")[trial % 3]
     fam = []
     for k in ks:
         rng = np.random.default_rng([seed, k, trial])
@@ -302,7 +317,14 @@ def _band_family(grid: Grid, ks, seed: int, trial: int, kind: str):
     return fam
 
 
-_FAMILY_KINDS = ("spikes-aligned", "random", "spikes-staggered")
+def _band_stacks(ks, fam, sigma: float, q: float):
+    """sum_k |u_k|^q and sum_k (M_sigma,2^k u_k)^q over a band family u_k, k in ks."""
+    plain = np.zeros(fam[0].grid.shape)
+    maxed = np.zeros(fam[0].grid.shape)
+    for k, u in zip(ks, fam):
+        plain += np.abs(u.samples) ** q
+        maxed += peetre_maximal(u, PeetreParams(sigma, 2.0**k)).samples.real ** q
+    return plain, maxed
 
 
 def audit_fs_vector_inequality(
@@ -321,46 +343,18 @@ def audit_fs_vector_inequality(
     over families with u_k in E(2^k), k = 1..J.  Stable in J and under grid
     doubling iff sigma > max(d/p, d/q).
     """
+
+    def ratio(grid, J, trial):
+        ks = range(1, J + 1)
+        plain, maxed = _band_stacks(ks, _band_family(grid, ks, seed, trial), sigma, q)
+        num = GridFunction.from_samples(grid, maxed ** (1 / q)).lp_norm(p)
+        den = GridFunction.from_samples(grid, plain ** (1 / q)).lp_norm(p)
+        return num / den if den > 0 else None
+
     sigma_crit = max(d / p, d / q)
-    rows = []
-    per_n = {}
-    for n in ns:
-        grid = Grid(d, n)
-        consts = []
-        for J in J_list:
-            ks = list(range(1, J + 1))
-            best = 0.0
-            for trial in range(trials):
-                fam = _band_family(grid, ks, seed, trial, _FAMILY_KINDS[trial % len(_FAMILY_KINDS)])
-                stack_in = np.zeros(grid.shape)
-                stack_out = np.zeros(grid.shape)
-                for k, u in zip(ks, fam):
-                    stack_in += np.abs(u.samples) ** q
-                    stack_out += peetre_maximal(u, PeetreParams(sigma, 2.0**k)).samples.real ** q
-                num = GridFunction.from_samples(grid, stack_out ** (1 / q)).lp_norm(p)
-                den = GridFunction.from_samples(grid, stack_in ** (1 / q)).lp_norm(p)
-                if den > 0:
-                    best = max(best, num / den)
-            consts.append(best)
-            rows.append({"n": n, "J": J, "constant": best})
-        per_n[n] = consts
-    slopes = {n: _fit_slope(J_list, c) for n, c in per_n.items()}
-    drift = _drift([max(c) for c in per_n.values()])
-    passed = all(s <= _SLOPE_TOL for s in slopes.values()) and drift <= _DRIFT_TOL
-    return AuditReport(
-        name="vector-maximal-inequality",
-        params={"p": p, "q": q, "sigma": sigma, "J_list": list(J_list), "trials": trials, "d": d, "ns": list(ns), "seed": seed},
-        constant=max(max(c) for c in per_n.values()),
-        table=rows,
-        passed=passed,
-        tolerance=_SLOPE_TOL,
-        details={
-            "slope_per_n": {str(n): slopes[n] for n in slopes},
-            "doubling_drift": drift,
-            "sigma_critical": sigma_crit,
-            "outside_hypothesis": sigma <= sigma_crit,
-        },
-    )
+    params = {"p": p, "q": q, "sigma": sigma, "J_list": list(J_list), "trials": trials, "d": d, "ns": list(ns), "seed": seed}
+    details = {"sigma_critical": sigma_crit, "outside_hypothesis": sigma <= sigma_crit}
+    return _doubling_audit("vector-maximal-inequality", params, d, ns, J_list, "J", trials, ratio, details)
 
 
 def audit_infty_maximal(
@@ -371,7 +365,6 @@ def audit_infty_maximal(
     d: int = 1,
     n: int = 256,
     seed: int = 0,
-    mu_max: int | None = None,
 ) -> AuditReport:
     """Cube-averaged tail inequality, uniform over scales mu and cubes P.
 
@@ -384,33 +377,27 @@ def audit_infty_maximal(
     below d/q.  Pass rule: fitted growth of the constant in J <= 0.15.
     """
     grid = Grid(d, n)
+
+    def ratio(J, mu, trial):
+        ks = range(mu, J + 1)
+        if trial < 0:
+            # single top-band spike, a few cells right of x = 1/2
+            anchor = np.full(grid.dim, 0.5 + 3.0 / grid.n)
+            fam = [GridFunction.from_spectrum(grid, np.zeros(grid.shape, dtype=complex)) for _ in ks[:-1]]
+            fam.append(band_limited_function(grid, 2.0 ** (J + 1), None, kind="spike", anchor=anchor))
+        else:
+            fam = _band_family(grid, ks, seed, trial)
+        plain, maxed = _band_stacks(ks, fam, sigma, q)
+        rhs = float(block_reduce(plain, mu).max() ** (1 / q))
+        return float(block_reduce(maxed, mu).max() ** (1 / q)) / rhs if rhs > 0 else None
+
     rows = []
     consts_per_J = []
     for J in J_list:
-        mu_top = min(mu_max if mu_max is not None else J - 1, grid_depth(n))
-        worst_J = 0.0
-        for mu in range(mu_top + 1):
-            worst = 0.0
-            for trial in range(-1, trials):
-                ks = list(range(mu, J + 1))
-                if trial < 0:
-                    # single top-band spike, a few cells right of x = 1/2
-                    anchor = np.full(grid.dim, 0.5 + 3.0 / grid.n)
-                    fam = [GridFunction.from_spectrum(grid, np.zeros(grid.shape, dtype=complex)) for _ in ks[:-1]]
-                    fam.append(band_limited_function(grid, 2.0 ** (J + 1), None, kind="spike", anchor=anchor))
-                else:
-                    fam = _band_family(grid, ks, seed, trial, _FAMILY_KINDS[trial % len(_FAMILY_KINDS)])
-                tail_plain = np.zeros(grid.shape)
-                tail_max = np.zeros(grid.shape)
-                for k, u in zip(ks, fam):
-                    tail_plain += np.abs(u.samples) ** q
-                    tail_max += peetre_maximal(u, PeetreParams(sigma, 2.0**k)).samples.real ** q
-                rhs = float(block_reduce(tail_plain, mu).max() ** (1 / q))
-                if rhs > 0:
-                    worst = max(worst, float(block_reduce(tail_max, mu).max() ** (1 / q)) / rhs)
-            worst_J = max(worst_J, worst)
-            rows.append({"J": J, "mu": mu, "constant": worst})
-        consts_per_J.append(worst_J)
+        mus = range(min(J - 1, grid_depth(n)) + 1)
+        worst = [_best(range(-1, trials), partial(ratio, J, mu)) for mu in mus]
+        rows += [{"J": J, "mu": mu, "constant": c} for mu, c in zip(mus, worst)]
+        consts_per_J.append(max([0.0] + worst))
     slope = _fit_slope(J_list, consts_per_J)
     passed = slope <= _SLOPE_TOL
     return AuditReport(
@@ -447,26 +434,21 @@ def audit_sharp_domination(
     """
     if sigma is None:
         sigma = 2 * d / q + 1.0
-    rows = []
-    per_n = []
-    for n in ns:
-        grid = Grid(d, n)
-        best = 0.0
-        for trial in range(trials):
-            ks = list(range(1, J + 1))
-            fam = _band_family(grid, ks, seed, trial, _FAMILY_KINDS[trial % len(_FAMILY_KINDS)])
-            majorized = [peetre_maximal(u, PeetreParams(sigma, 2.0**k)) for k, u in zip(ks, fam)]
-            num = vector_sharp(majorized, q, n_cut, k0=1).samples.real
-            den = vector_sharp(fam, q, n_cut, k0=1).samples.real
-            best = max(best, _safe_ratio_max(num, den))
-        per_n.append(best)
-        rows.append({"n": n, "constant": best})
+    ks = range(1, J + 1)
+
+    def ratio(grid, trial):
+        fam = _band_family(grid, ks, seed, trial)
+        majorized = [peetre_maximal(u, PeetreParams(sigma, 2.0**k)) for k, u in zip(ks, fam)]
+        num = vector_sharp(majorized, q, n_cut, k0=1).samples.real
+        return _safe_ratio_max(num, vector_sharp(fam, q, n_cut, k0=1).samples.real)
+
+    per_n = [_best(range(trials), partial(ratio, Grid(d, n))) for n in ns]
     drift = _drift(per_n)
     return AuditReport(
         name="sharp-tail-domination",
         params={"q": q, "sigma": sigma, "J": J, "n_cut": n_cut, "trials": trials, "d": d, "ns": list(ns), "seed": seed},
         constant=max(per_n),
-        table=rows,
+        table=[{"n": n, "constant": c} for n, c in zip(ns, per_n)],
         passed=np.isfinite(max(per_n)) and drift <= 0.25,
         tolerance=0.25,
         details={"doubling_drift": drift, "sigma_critical": 2 * d / q, "outside_hypothesis": sigma <= 2 * d / q},
@@ -490,29 +472,23 @@ def audit_fefferman_stein(
     """
     if p <= 1:
         raise ValueError("p must be > 1")
-    rows = []
-    per_n = []
-    for n in ns:
-        grid = Grid(d, n)
-        best = 0.0
-        for trial in range(trials):
-            rng = np.random.default_rng([seed, trial])
-            f = band_limited_function(grid, band_radius, rng, kind="random")
-            spec = f.spectrum.copy()
-            spec[(0,) * d] = 0.0  # mean zero
-            f = GridFunction.from_spectrum(grid, spec)
-            num = hl_maximal(f, "dyadic", 1.0).lp_norm(p)
-            den = GridFunction.from_samples(grid, dyadic_sharp(f).samples.real).lp_norm(p)
-            if den > 0:
-                best = max(best, num / den)
-        per_n.append(best)
-        rows.append({"n": n, "constant": best})
+
+    def ratio(grid, trial):
+        f = band_limited_function(grid, band_radius, np.random.default_rng([seed, trial]), kind="random")
+        spec = f.spectrum.copy()
+        spec[(0,) * d] = 0.0  # mean zero
+        f = GridFunction.from_spectrum(grid, spec)
+        num = hl_maximal(f, "dyadic", 1.0).lp_norm(p)
+        den = GridFunction.from_samples(grid, dyadic_sharp(f).samples.real).lp_norm(p)
+        return num / den if den > 0 else None
+
+    per_n = [_best(range(trials), partial(ratio, Grid(d, n))) for n in ns]
     drift = _drift(per_n)
     return AuditReport(
         name="fefferman-stein-dyadic-sharp",
         params={"p": p, "trials": trials, "d": d, "ns": list(ns), "seed": seed, "band_radius": band_radius},
         constant=max(per_n),
-        table=rows,
+        table=[{"n": n, "constant": c} for n, c in zip(ns, per_n)],
         passed=drift <= _DRIFT_TOL,
         tolerance=_DRIFT_TOL,
         details={"doubling_drift": drift},

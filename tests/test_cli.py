@@ -14,6 +14,7 @@ from torusfs.cli import _SUITES, main
 from torusfs.grid import load_gridfunction, make_grid, save_gridfunction
 from torusfs.maximal import band_limited_function
 from torusfs.registry import _parse, list_registry, make_symbol, make_test_function
+from torusfs.report import AuditReport
 
 
 @pytest.fixture
@@ -126,6 +127,17 @@ def test_audit_every_suite_exits_zero(tmp_path):
         assert any(stem == f"audit-{suite}" or stem.startswith(f"audit-{suite}-") for stem in reports), suite
     not_passed = {stem for stem, rep in reports.items() if not rep["passed"]}
     assert not_passed == {"audit-peetre-1", "audit-vector-maximal-1", "audit-cube-tail-1"}
+
+
+def test_audit_outside_hypothesis_passes_by_failing(tmp_path, monkeypatch):
+    # a report flagged outside its hypothesis is a necessity run: detecting the failure is the pass
+    def necessity(passed):
+        rep = AuditReport("necessity", {}, 1.0, [], passed, 0.1, {"outside_hypothesis": True})
+        return lambda cfg: [rep]
+
+    for passed, code in ((True, 1), (False, 0)):
+        monkeypatch.setattr(cli, "_SUITES", {"necessity": necessity(passed)})
+        assert main(["audit", "--suite", "necessity", "--outdir", str(tmp_path / str(passed))]) == code
 
 
 def test_audit_all_isolates_a_raising_suite(tmp_path, monkeypatch, capsys):

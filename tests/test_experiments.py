@@ -86,11 +86,13 @@ def test_rademacher_multiplier_support_and_values():
     assert abs(got - expected) < 1e-12
 
 
-def test_multiplier_lattice_fast_path_matches_closure():
-    cfg = LacunaryConfig(L=3, spacing=2, m=-0.25, seed=5)
-    grid = make_grid(1, 2**11)
-    fast = multiplier_on_lattice(cfg, grid, draw=2)
-    slow = rademacher_multiplier(cfg, draw=2).fn(None, (grid.axis_freqs(),))
+@settings(max_examples=12, deadline=None)
+@given(L=st.integers(3, 6), m=st.sampled_from([0.0, -0.25, -0.5, 0.3]), draw=st.integers(0, 3))
+def test_multiplier_lattice_fast_path_matches_closure(L, m, draw):
+    cfg = LacunaryConfig(L=L, spacing=2, m=m, seed=5)
+    grid = make_grid(1, 2 ** (cfg.zeta(L) + 5))
+    fast = multiplier_on_lattice(cfg, grid, draw=draw)
+    slow = rademacher_multiplier(cfg, draw=draw).fn(None, (grid.axis_freqs(),))
     assert np.max(np.abs(fast - slow)) == 0.0
 
 
@@ -438,6 +440,16 @@ def test_fspace_reports_identical_across_worker_counts(seed, p, t):
     assert serial.to_json() == pooled.to_json()
 
 
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**16), q=st.sampled_from([1.5, 2.0]), t=st.sampled_from([1.0, 2.0]))
+def test_bspace_reports_identical_across_worker_counts(seed, q, t):
+    lac = LacunaryConfig(L=5, spacing=2, m=0.0, seed=seed)
+    atoms = RandomAtomConfig(L=5, spacing=2, p=2.0, seed=seed)
+    serial = bspace_growth_experiment(lac, atoms, 2.0, q, t, draws=2, L_list=[3, 4, 5], workers=1)
+    pooled = bspace_growth_experiment(lac, atoms, 2.0, q, t, draws=2, L_list=[3, 4, 5], workers=2)
+    assert serial.to_json() == pooled.to_json()
+
+
 @settings(max_examples=40, deadline=None)
 @given(z=st.integers(0, 5), data=st.data())
 def test_dyadic_root_phases_match_exp(z, data):
@@ -504,12 +516,8 @@ def test_bspace_rejects_non_spectral_p():
 
 def test_lacunary_coeff_modes():
     cfg = RandomAtomConfig(L=6, spacing=1, p=2.0)
-    flat = lacunary_coeffs(cfg, 2.0, "flat")
+    flat = lacunary_coeffs(cfg, 2.0)
     assert len(flat) == 4
-    power = lacunary_coeffs(cfg, 2.0, "power")
-    assert all(power[k] > 0 for k in power)
-    with pytest.raises(ValueError):
-        lacunary_coeffs(cfg, 2.0, "mystery")
 
 
 def test_shell_sign_sum_lp_comparability():

@@ -44,6 +44,16 @@ def test_partition_sums_to_one():
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(J=st.integers(3, 16), data=st.data(), smoothness=st.integers(1, 3), seed=st.integers(0, 2**16))
+def test_partition_telescopes_at_random_depth(J, data, smoothness, seed):
+    K = data.draw(st.integers(0, J))
+    P = build_partition(J, smoothness)
+    r = np.random.default_rng(seed).uniform(0.0, 2.0 ** (J + 2), 4000)
+    total = P.base(r) + sum(P.profile(k, r) for k in range(1, K + 1))
+    assert np.max(np.abs(total - P.partial_sum(K, r))) <= 1e-12
+
+
 def test_support_condition():
     P = build_partition(6)
     assert P.profile(4, 40.0) == 0.0  # 40 > 2^5
@@ -182,9 +192,11 @@ def test_scattered_tables_equal_dense_profiles(dim, log_n, period, smoothness):
     fam = build_phi_family(smoothness)
     for k in range(log_n + 1):
         assert np.array_equal(scatter(grid, fam.table(grid, k)), fam.window(k, radii))
+    if smoothness > 1:
+        return  # the train window has the default smoothness only
     for z in range(3):
-        train = scatter(grid, experiments._train_table(grid, z, smoothness))
-        assert np.array_equal(train, reproducing_profile(radii / 2.0**z, smoothness))
+        train = scatter(grid, experiments._train_table(grid, z))
+        assert np.array_equal(train, reproducing_profile(radii / 2.0**z))
 
 
 @settings(max_examples=60, deadline=None)

@@ -33,6 +33,29 @@ def test_hl_constant():
             assert np.max(np.abs(out.samples.real - 3.0)) < 1e-12
 
 
+def _centered_reference(f, t):
+    """The centered maximal function as one scipy uniform_filter call per odd width."""
+    from scipy import ndimage
+
+    a = np.abs(f.samples) ** t
+    acc = a.copy()
+    np.maximum(acc, a.mean(), out=acc)
+    for w in range(3, f.grid.n, 2):
+        np.maximum(acc, ndimage.uniform_filter(a, size=w, mode="wrap"), out=acc)
+    return acc ** (1.0 / t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 2**k) for k in range(4, 11)] + [(2, 32), (2, 64)]),
+    t=st.sampled_from([0.5, 1.0, 2.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_centered_hl_matches_uniform_filter_loop(shape, t, seed):
+    f = random_function(make_grid(*shape), seed)
+    assert np.array_equal(hl_maximal(f, "centered", t).samples.real, _centered_reference(f, t))
+
+
 def test_hl_t_validation():
     g = make_grid(1, 32)
     f = random_function(g, 0)
