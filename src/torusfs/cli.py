@@ -277,10 +277,18 @@ def _cmd_audit(cfg) -> int:
 
 
 def _parse_range(text: str):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+    """Top scales from --L: a range lo..hi or a list a,b,c, ascending and nonempty."""
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            L_list = list(range(int(lo), int(hi) + 1))
+        else:
+            L_list = [int(v) for v in text.split(",")]
+    except ValueError:
+        L_list = []
+    if not L_list or L_list != sorted(set(L_list)):
+        raise ValueError(f"--L must be an ascending range lo..hi or list a,b,c of integers, got {text!r}")
+    return L_list
 
 
 def _cmd_experiment(cfg) -> int:
@@ -294,15 +302,14 @@ def _cmd_experiment(cfg) -> int:
     workers = int(cfg.get("workers", 1))
     L_list = _parse_range(str(cfg.get("L", "3..6")))
     d = 1
+    atoms = experiments.RandomAtomConfig(L=max(L_list), spacing=spacing, p=p, seed=seed)  # checks p > 0 before 1/p
     if name == "fspace-growth":
         m = float(cfg.get("m", -d * (1.0 / p - 0.5)))
         lac = experiments.LacunaryConfig(L=max(L_list), spacing=spacing, m=m, seed=seed)
-        atoms = experiments.RandomAtomConfig(L=max(L_list), spacing=spacing, p=p, seed=seed)
         rep = experiments.fspace_growth_experiment(lac, atoms, p, q, t, draws=draws, L_list=L_list, workers=workers)
     elif name == "bspace-growth":
         m = float(cfg.get("m", -d * abs(0.5 - 1.0 / p)))
         lac = experiments.LacunaryConfig(L=max(L_list), spacing=spacing, m=m, seed=seed)
-        atoms = experiments.RandomAtomConfig(L=max(L_list), spacing=spacing, p=p, seed=seed)
         rep = experiments.bspace_growth_experiment(lac, atoms, p, q, t, draws=draws, L_list=L_list, workers=workers)
     else:
         raise ValueError(f"unknown experiment {name!r}")

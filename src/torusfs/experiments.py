@@ -15,13 +15,18 @@ reduce deterministically, so reports are byte-stable for a fixed seed set
 regardless of worker count.
 
 Performance notes: everything is assembled sparsely on the frequency
-lattice.  Every window (band, base, train window, the squared-band stack
-weight and the lacunary sum) comes from the radial tables of
-``littlewood_paley``: each profile is evaluated once per radius 0..n/2
-and gathered into FFT order, and band tables are (indices, values) pairs
-over their annulus only.  The table cache holds one top scale's lattices
-at a time: each draw empties it when its top scale differs from the last
-one seen, and it is emptied before a pool forks.  For p = q = 2 the mixed
+lattice.  Every window (band, base, train window and the lacunary sum)
+comes from the radial tables of ``littlewood_paley``: each profile is
+evaluated once per radius 0..n/2 and gathered into FFT order, and band
+tables are (indices, values) pairs over their annulus only.  The
+squared-band stack weight of the F^{0,2}_2 norm is dyadically
+self-similar above r = 1 (on 2^m <= r < 2^(m+1) it is u*u + (1 - u)^2
+with u = cutoff(r / 2^m)), so its cutoff is evaluated on the finest
+octave only, n/4 points, and every coarser octave is a strided slice of
+that table; the weight is cached with the tables.  The table cache holds
+one top scale's lattices at a time: each draw empties it when its top
+scale differs from the last one seen, and it is emptied before a pool
+forks.  For p = q = 2 the mixed
 norm is evaluated purely spectrally; only genuinely mixed norms (e.g.
 t = 1 under an L^2 integral) go back to space, one band-limited inverse
 transform per band that carries spectrum: band j is folded onto 2^(j+2)
@@ -40,7 +45,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .grid import Grid, GridFunction
-from .littlewood_paley import LPPartition, clear_tables, radial_table, radial_window, scatter
+from .littlewood_paley import LPPartition, cached, clear_tables, radial_table, radial_window, scatter
 from .pseudo import Symbol
 from .report import AuditReport, _drift, _fit_slope
 
@@ -130,6 +135,8 @@ class RandomAtomConfig:
             raise ValueError("shell spacing must be >= 1")
         if self.L < self.k0:
             raise ValueError(f"L must be >= k0 = {self.k0}")
+        if not self.p > 0:
+            raise ValueError(f"p must be > 0, got {self.p}")
 
     def zeta(self, k: int) -> int:
         return self.spacing * k
@@ -559,22 +566,37 @@ def _train_table(grid: Grid, zeta: int) -> tuple:
     )
 
 
-def _f22_norm(spec: np.ndarray) -> float:
-    """F^{0,2}_2 norm of a spectrum on the unit torus, purely spectral.
+def _stack_weight(n: int) -> np.ndarray:
+    """F^{0,2}_2 stack weight base^2 + sum_k mother(r / 2^k)^2 on the size-n lattice (FFT order).
 
-    The weight sums the squared band windows in one pass over the radii.
+    The stack is dyadically self-similar above r = 1: on an octave
+    2^m <= r < 2^(m+1) only bands m and m+1 (base and band 1 for m = 0)
+    are nonzero, as u = cutoff(r / 2^m) and 1 - u, so the band-by-band sum
+    is exactly 0.0 + u*u + (1 - u)^2, a function of r / 2^m alone.  u is
+    evaluated once, on the finest whole octave n/4 <= r < n/2; every
+    coarser octave is a strided slice of that table, the Nyquist radius
+    n/2 takes its first entry and w(0) = base(0)^2.  The weight equals the
+    band-by-band sum to the bit.
     """
-    grid = Grid(1, len(spec))
     lp = LPPartition(J=3)
+    top = n // 4
+    u = lp.cutoff(np.arange(top, 2 * top) / top)
+    octave = u * u + (1.0 - u) ** 2
+    w = np.empty(n)
+    w[0] = lp.base(0.0) ** 2
+    s = 1
+    while s <= top:  # radii s..2s-1, positive frequencies
+        w[s : 2 * s] = octave[:: top // s]
+        s *= 2
+    w[n // 2] = octave[0]
+    w[n // 2 + 1 :] = w[n // 2 - 1 : 0 : -1]  # radius r at index n - r
+    return w
 
-    def stack(r):
-        w = lp.base(r) ** 2
-        for k in range(1, int(np.log2(grid.n)) + 1):
-            a, b = np.searchsorted(r, 2.0 ** (k - 1), side="right"), np.searchsorted(r, 2.0 ** (k + 1))
-            w[a:b] += lp.mother(r[a:b] / 2.0**k) ** 2
-        return w
 
-    weight = radial_window(grid, ("stack",), stack, -1.0, np.inf)
+def _f22_norm(spec: np.ndarray) -> float:
+    """F^{0,2}_2 norm of a spectrum on the unit torus, purely spectral (weight: :func:`_stack_weight`)."""
+    grid = Grid(1, len(spec))
+    weight = cached(grid, ("stack",), _stack_weight, grid.n)
     return float(np.sqrt(np.sum(np.abs(spec) ** 2 * weight)))
 
 
@@ -725,8 +747,9 @@ def _fspace_draw(args) -> tuple:
     n_out = 2 ** (lac.zeta(lac.L) + 5)
     grid_out = Grid(1, n_out)
     mult = multiplier_on_lattice(lac, grid_out, draw)
-    out_spec = mult * np.concatenate([spec[: n_out // 2], spec[-n_out // 2 :]])  # truncated to the output lattice
-    out_norm = _mixed_norm(out_spec, p, t)
+    mult[: n_out // 2] *= spec[: n_out // 2]  # the train truncated to the output lattice
+    mult[n_out // 2 :] *= spec[-n_out // 2 :]
+    out_norm = _mixed_norm(mult, p, t)
     uniq = tuple(1 if len(actives[k]) == 1 else 0 for k in atoms.scales())
     return (draw, in_norm**p, out_norm**p, uniq)
 
@@ -755,8 +778,17 @@ def _run_tasks(worker, batches, workers: int) -> list:
     return out
 
 
-def _check_L_list(lac: LacunaryConfig, L_list) -> list:
-    """The top scales to sweep (default k0..L); a growth slope needs two."""
+def _check_sweep(lac: LacunaryConfig, L_list, draws: int, **exponents) -> list:
+    """The top scales to sweep (default k0..L), once the sweep is known to be well posed.
+
+    Every exponent must be > 0 (inf allowed), a moment needs at least one
+    draw and a growth slope two top scales.
+    """
+    for name, value in exponents.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be > 0, got {value}")
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     L_list = list(range(lac.k0, lac.L + 1)) if L_list is None else list(L_list)
     if len(L_list) < 2:
         raise ValueError(f"L_list needs at least two top scales to fit a growth slope, got {L_list}")
@@ -788,7 +820,7 @@ def fspace_growth_experiment(
         raise ValueError("growth experiments are one-dimensional")
     if lac.spacing != atoms.spacing or lac.k0 != atoms.k0:
         raise ValueError("multiplier and train must share the scale map")
-    L_list = _check_L_list(lac, L_list)
+    L_list = _check_sweep(lac, L_list, draws, p=p, q=q, t=t)
     rows = []
     draw_rows = []
     counts, in_vals, out_vals = [], [], []
@@ -887,7 +919,7 @@ def bspace_growth_experiment(
         raise ValueError("the band-norm experiment is pinned to p = 2 (spectral evaluation)")
     if lac.d != 1:
         raise ValueError("one-dimensional")
-    L_list = _check_L_list(lac, L_list)
+    L_list = _check_sweep(lac, L_list, draws, p=p, q=q, t=t)
     designed_eps = 1.0 / t - 1.0 / q
     rows = []
     draw_rows = []

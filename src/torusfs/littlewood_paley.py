@@ -26,12 +26,13 @@ __all__ = [
     "export_profiles_csv",
     "radial_table",
     "radial_window",
+    "cached",
     "scatter",
     "clear_tables",
 ]
 
-# (grid, key) -> a radial_table or a radial_window.  Nothing is evicted:
-# callers that sweep large grids empty it with clear_tables().
+# (grid, key) -> a radial_table, a radial_window or another cached() entry.
+# Nothing is evicted: callers that sweep large grids empty it with clear_tables().
 _TABLES: dict = {}
 
 
@@ -88,12 +89,7 @@ def radial_table(grid: Grid, key, profile, lo: float, hi: float) -> tuple:
     then the Nyquist frequency if lo < |xi| <= hi holds there; sums over a
     table follow this order.  In 2-D the indices ascend.
     """
-    table = _TABLES.get((grid, key))
-    if table is None:
-        table = _TABLES[(grid, key)] = _build_table(grid, profile, lo, hi)
-        for arr in table:
-            arr.flags.writeable = False
-    return table
+    return cached(grid, key, _build_table, grid, profile, lo, hi)
 
 
 def radial_window(grid: Grid, key, profile, lo: float, hi: float) -> np.ndarray:
@@ -103,19 +99,32 @@ def radial_window(grid: Grid, key, profile, lo: float, hi: float) -> np.ndarray:
     and a key names either a table or a window.  In 1-D the values are
     written straight into FFT order, without the table's index array.
     """
-    w = _TABLES.get((grid, key))
-    if w is None:
-        if grid.dim == 1:
-            a, vals, m, z = _profile_1d(grid, profile, lo, hi)
-            n = grid.n
-            w = np.zeros(n, dtype=vals.dtype)
-            w[a : a + len(vals)] = vals
-            w[n - a - m + 1 : n - a - z + 1] = vals[z:m][::-1]  # index n - r of the radius r, descending
-        else:
-            w = scatter(grid, _build_table(grid, profile, lo, hi))
-        _TABLES[(grid, key)] = w
-        w.flags.writeable = False
-    return w
+    return cached(grid, key, _build_window, grid, profile, lo, hi)
+
+
+def _build_window(grid: Grid, profile, lo: float, hi: float) -> np.ndarray:
+    if grid.dim == 1:
+        a, vals, m, z = _profile_1d(grid, profile, lo, hi)
+        n = grid.n
+        w = np.zeros(n, dtype=vals.dtype)
+        w[a : a + len(vals)] = vals
+        w[n - a - m + 1 : n - a - z + 1] = vals[z:m][::-1]  # index n - r of the radius r, descending
+        return w
+    return scatter(grid, _build_table(grid, profile, lo, hi))
+
+
+def cached(grid: Grid, key, build, *args):
+    """The entry cached under (grid, key) until :func:`clear_tables`, made by ``build(*args)`` on a miss.
+
+    An entry is an array or a tuple of arrays, all made read-only; a key
+    names one entry, whichever function built it.
+    """
+    entry = _TABLES.get((grid, key))
+    if entry is None:
+        entry = _TABLES[(grid, key)] = build(*args)
+        for arr in entry if isinstance(entry, tuple) else (entry,):
+            arr.flags.writeable = False
+    return entry
 
 
 def scatter(grid: Grid, table: tuple) -> np.ndarray:

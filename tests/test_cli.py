@@ -184,6 +184,25 @@ def test_experiment_command_and_determinism(tmp_path):
     assert len(lines) == 1 + 3 + 3 * 25
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--draws", "0"], "draws must be >= 1, got 0"),
+        (["--draws", "-3"], "draws must be >= 1, got -3"),
+        (["--p", "0"], "p must be > 0, got 0.0"),
+        (["--q", "0"], "q must be > 0, got 0.0"),
+        (["--t", "0"], "t must be > 0, got 0.0"),
+        (["--L", "8..3"], "--L must be an ascending range lo..hi or list a,b,c of integers, got '8..3'"),
+        (["--L", "5,4"], "--L must be an ascending range lo..hi or list a,b,c of integers, got '5,4'"),
+    ],
+)
+@pytest.mark.parametrize("name", ["fspace-growth", "bspace-growth"])
+def test_experiment_rejects_bad_inputs_before_any_work(tmp_path, capsys, name, args, message):
+    assert main(["experiment", "--name", name, "--L", "3..4", "--draws", "2", *args, "--outdir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_audit_rerun_byte_identical(tmp_path):
     for sub in ("x", "y"):
         assert main(["audit", "--suite", "khintchine", "--seed", "9", "--outdir", str(tmp_path / sub)]) == 0

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import torusfs
-from torusfs import experiments
+from torusfs import experiments, littlewood_paley
 from torusfs.grid import GridFunction, make_grid
 from torusfs.littlewood_paley import build_partition, clear_tables, radial_window
 from torusfs.experiments import (
@@ -344,6 +344,10 @@ def test_lattice_frequencies_from_indices_are_exact(log_n, j):
 
 @settings(max_examples=16, deadline=None)
 @given(log_n=st.integers(3, 18))
+@example(log_n=19)
+@example(log_n=20)
+@example(log_n=21)
+@example(log_n=22)  # criterion 8's input lattice at L = 8
 def test_stack_weight_matches_dense_construction(log_n):
     n = 2**log_n
     clear_tables()
@@ -356,6 +360,17 @@ def test_stack_weight_matches_dense_construction(log_n):
     assert experiments._f22_norm(spec) == float(np.sqrt(np.sum(np.abs(spec) ** 2 * dense)))
     # the weight _f22_norm left in the table cache (a hit never calls the profile)
     assert np.array_equal(radial_window(make_grid(1, n), ("stack",), None, -1.0, np.inf), dense)
+
+
+@pytest.mark.parametrize("log_n", [3, 4, 10, 16])
+def test_stack_weight_evaluates_one_octave(log_n, monkeypatch):
+    n = 2**log_n
+    clear_tables()
+    points = []
+    step = littlewood_paley.smooth_step
+    monkeypatch.setattr(littlewood_paley, "smooth_step", lambda t, *a, **k: points.append(np.size(t)) or step(t, *a, **k))
+    experiments._f22_norm(np.ones(n, dtype=complex))
+    assert 0 < sum(points) <= n // 4 + 1  # the finest octave n/4 <= r < n/2, and r = 0
 
 
 def _random_spectrum(n, seed):
