@@ -5,7 +5,8 @@ decay-weighted shifted supremum operator used to control band-limited
 functions, dyadic sharp (mean-oscillation) maximal functions, and their
 vector-valued combinations over band families.  The audit functions measure
 the constants in the corresponding inequalities over seeded random families
-and report growth/stability diagnostics.
+and report growth/stability diagnostics.  The band-family audits compute each
+(band, trial) maximal function once per call and sum their stacks from it.
 
 All suprema over continuous shifts are taken over the sample lattice with
 periodic distance; inputs are band-limited so this is a faithful desk-scale
@@ -15,7 +16,7 @@ realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -244,6 +245,13 @@ def _best(trials, ratio) -> float:
     return best
 
 
+def _check_top_band(k: int, d: int, ns) -> None:
+    """Raise before any work unless band k (spectrum in |xi| <= 2^(k+1)) is below every grid's Nyquist frequency."""
+    for n in ns:
+        if 2.0 ** (k + 1) >= Grid(d, n).nyquist:
+            raise ValueError(f"band {k} needs a finer grid than n={n}")
+
+
 def _doubling_audit(name, params, d, ns, xs, key, trials, ratio, details) -> AuditReport:
     """Best ratio(grid, x, trial) per grid size n and sweep point x, judged for stability.
 
@@ -286,9 +294,7 @@ def audit_peetre_domination(
     threshold the spike input (trial 0) makes it grow like 2^(k (d/t - sigma)).
     """
     ks = list(range(3, 3 + bands))
-    for n in ns:
-        if 2.0 ** (ks[-1] + 1) >= Grid(d, n).nyquist:
-            raise ValueError(f"band {ks[-1]} needs a finer grid than n={n}")
+    _check_top_band(ks[-1], d, ns)
 
     def ratio(grid, k, trial):
         rng = np.random.default_rng([seed, k, trial])
@@ -301,37 +307,52 @@ def audit_peetre_domination(
     return _doubling_audit("peetre-domination", params, d, ns, ks, "band", trials, ratio, details)
 
 
-def _band_family(grid: Grid, ks, seed: int, trial: int):
-    """One family u_k in E(2^k), k in ks, with n-independent coefficients and a kind cycling with the trial."""
+def _band(grid: Grid, k: int, seed: int, trial: int) -> GridFunction:
+    """One band u_k in E(2^k) with n-independent coefficients and a kind cycling with the trial.
+
+    Trial -1 is the cube-tail witness: a single spike a few cells right of x = 1/2.
+    """
+    if trial < 0:
+        anchor = np.full(grid.dim, 0.5 + 3.0 / grid.n)
+        return band_limited_function(grid, 2.0 ** (k + 1), None, kind="spike", anchor=anchor)
     kind = ("spikes-aligned", "random", "spikes-staggered")[trial % 3]
-    fam = []
-    for k in ks:
-        rng = np.random.default_rng([seed, k, trial])
-        if kind == "random":
-            fam.append(band_limited_function(grid, 2.0 ** (k + 1), rng, kind="random"))
-        elif kind == "spikes-aligned":
-            fam.append(band_limited_function(grid, 2.0 ** (k + 1), rng, kind="spike"))
-        else:  # spikes staggered across the torus
-            anchor = np.full(grid.dim, (trial % 7) / 7.0 + k / 37.0)
-            fam.append(band_limited_function(grid, 2.0 ** (k + 1), rng, kind="spike", anchor=anchor))
-    return fam
+    rng = np.random.default_rng([seed, k, trial])
+    if kind == "random":
+        return band_limited_function(grid, 2.0 ** (k + 1), rng, kind="random")
+    anchor = np.full(grid.dim, (trial % 7) / 7.0 + k / 37.0) if kind == "spikes-staggered" else None
+    return band_limited_function(grid, 2.0 ** (k + 1), rng, kind="spike", anchor=anchor)
 
 
-def _band_stacks(ks, fam, sigma: float, q: float):
-    """sum_k |u_k|^q and sum_k (M_sigma,2^k u_k)^q over a band family u_k, k in ks."""
-    plain = np.zeros(fam[0].grid.shape)
-    maxed = np.zeros(fam[0].grid.shape)
-    for k, u in zip(ks, fam):
-        plain += np.abs(u.samples) ** q
-        maxed += peetre_maximal(u, PeetreParams(sigma, 2.0**k)).samples.real ** q
-    return plain, maxed
+def _band_stacks(seed: int, sigma: float, q: float):
+    """stacks(grid, ks, trial) = (sum_k |u_k|^q, sum_k (M_sigma,2^k u_k)^q) over u_k = _band(grid, k, seed, trial).
+
+    Both sums run from zeros over ascending k in ks.  Each (grid, k, trial)
+    pair of powers is computed once for the life of the returned function,
+    which one audit call holds.  The cube-tail witness (trial -1) is zero
+    below its top band, so only that band is added.
+    """
+
+    @cache
+    def powers(grid, k, trial):
+        u = _band(grid, k, seed, trial)
+        return np.abs(u.samples) ** q, peetre_maximal(u, PeetreParams(sigma, 2.0**k)).samples.real ** q
+
+    def stacks(grid, ks, trial):
+        plain, maxed = np.zeros(grid.shape), np.zeros(grid.shape)
+        for k in ks[-1:] if trial < 0 else ks:
+            a, m = powers(grid, k, trial)
+            plain += a
+            maxed += m
+        return plain, maxed
+
+    return stacks
 
 
 def audit_fs_vector_inequality(
     p: float = 2.0,
     q: float = 2.0,
     sigma: float = 2.0,
-    J_list=(3, 4, 5, 6),
+    J_list=(3, 4, 5),
     trials: int = 10,
     d: int = 1,
     ns=(256, 512),
@@ -343,10 +364,11 @@ def audit_fs_vector_inequality(
     over families with u_k in E(2^k), k = 1..J.  Stable in J and under grid
     doubling iff sigma > max(d/p, d/q).
     """
+    _check_top_band(max(J_list), d, ns)
+    stacks = _band_stacks(seed, sigma, q)
 
     def ratio(grid, J, trial):
-        ks = range(1, J + 1)
-        plain, maxed = _band_stacks(ks, _band_family(grid, ks, seed, trial), sigma, q)
+        plain, maxed = stacks(grid, range(1, J + 1), trial)
         num = GridFunction.from_samples(grid, maxed ** (1 / q)).lp_norm(p)
         den = GridFunction.from_samples(grid, plain ** (1 / q)).lp_norm(p)
         return num / den if den > 0 else None
@@ -376,18 +398,12 @@ def audit_infty_maximal(
     that makes the constant grow like 2^(J (d/q - sigma)) once sigma drops
     below d/q.  Pass rule: fitted growth of the constant in J <= 0.15.
     """
+    _check_top_band(max(J_list), d, (n,))
     grid = Grid(d, n)
+    stacks = _band_stacks(seed, sigma, q)
 
     def ratio(J, mu, trial):
-        ks = range(mu, J + 1)
-        if trial < 0:
-            # single top-band spike, a few cells right of x = 1/2
-            anchor = np.full(grid.dim, 0.5 + 3.0 / grid.n)
-            fam = [GridFunction.from_spectrum(grid, np.zeros(grid.shape, dtype=complex)) for _ in ks[:-1]]
-            fam.append(band_limited_function(grid, 2.0 ** (J + 1), None, kind="spike", anchor=anchor))
-        else:
-            fam = _band_family(grid, ks, seed, trial)
-        plain, maxed = _band_stacks(ks, fam, sigma, q)
+        plain, maxed = stacks(grid, range(mu, J + 1), trial)
         rhs = float(block_reduce(plain, mu).max() ** (1 / q))
         return float(block_reduce(maxed, mu).max() ** (1 / q)) / rhs if rhs > 0 else None
 
@@ -434,10 +450,11 @@ def audit_sharp_domination(
     """
     if sigma is None:
         sigma = 2 * d / q + 1.0
+    _check_top_band(J, d, ns)
     ks = range(1, J + 1)
 
     def ratio(grid, trial):
-        fam = _band_family(grid, ks, seed, trial)
+        fam = [_band(grid, k, seed, trial) for k in ks]
         majorized = [peetre_maximal(u, PeetreParams(sigma, 2.0**k)) for k, u in zip(ks, fam)]
         num = vector_sharp(majorized, q, n_cut, k0=1).samples.real
         return _safe_ratio_max(num, vector_sharp(fam, q, n_cut, k0=1).samples.real)

@@ -65,6 +65,27 @@ def test_parseval(seed, shape):
     assert abs(lhs - rhs) / lhs < 1e-10
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    dim=st.sampled_from([1, 2]),
+    n=st.sampled_from([2**k for k in range(3, 8)]),  # Grid rejects n < 8
+    period=st.sampled_from([1.0, 2.0, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_round_trip_and_parseval_on_any_grid(dim, n, period, seed):
+    g = make_grid(dim, n, period)
+    f = random_function(g, seed)
+    back = GridFunction.from_spectrum(g, f.spectrum).samples
+    assert np.max(np.abs(back - f.samples)) <= 1e-12 * np.max(np.abs(f.samples))
+    h = GridFunction.from_spectrum(g, f.samples)  # any array is also a spectrum
+    again = GridFunction.from_samples(g, h.samples).spectrum
+    assert np.max(np.abs(again - h.spectrum)) <= 1e-12 * np.max(np.abs(h.spectrum))
+    for u in (f, h):
+        lhs = np.sum(np.abs(u.samples) ** 2) * g.cell_volume
+        rhs = np.sum(np.abs(u.spectrum) ** 2) / g.period**g.dim
+        assert abs(lhs - rhs) <= 1e-12 * lhs
+
+
 def test_parseval_100_random():
     g = make_grid(1, 64)
     for seed in range(100):

@@ -172,6 +172,97 @@ def test_maximal_audit_reports_match_brute_force_scan(tmp_path, monkeypatch):
         assert (tmp_path / "scan" / name).read_bytes() == (tmp_path / "brute" / name).read_bytes(), name
 
 
+def _reference_band_family(grid, ks, seed, trial):
+    """The band family drawn as a whole, as the audits drew it before bands were shared."""
+    kind = ("spikes-aligned", "random", "spikes-staggered")[trial % 3]
+    fam = []
+    for k in ks:
+        rng = np.random.default_rng([seed, k, trial])
+        if kind == "random":
+            fam.append(band_limited_function(grid, 2.0 ** (k + 1), rng, kind="random"))
+        elif kind == "spikes-aligned":
+            fam.append(band_limited_function(grid, 2.0 ** (k + 1), rng, kind="spike"))
+        else:
+            anchor = np.full(grid.dim, (trial % 7) / 7.0 + k / 37.0)
+            fam.append(band_limited_function(grid, 2.0 ** (k + 1), rng, kind="spike", anchor=anchor))
+    return fam
+
+
+def _reference_band_stacks(seed, sigma, q):
+    """Stacks rebuilt at every sweep point from the whole family, zero bands of the cube-tail witness included."""
+
+    def stacks(grid, ks, trial):
+        if trial < 0:
+            anchor = np.full(grid.dim, 0.5 + 3.0 / grid.n)
+            fam = [GridFunction.from_spectrum(grid, np.zeros(grid.shape, dtype=complex)) for _ in ks[:-1]]
+            fam.append(band_limited_function(grid, 2.0 ** (ks[-1] + 1), None, kind="spike", anchor=anchor))
+        else:
+            fam = _reference_band_family(grid, ks, seed, trial)
+        plain = np.zeros(grid.shape)
+        maxed = np.zeros(grid.shape)
+        for k, u in zip(ks, fam):
+            plain += np.abs(u.samples) ** q
+            maxed += peetre_maximal(u, PeetreParams(sigma, 2.0**k)).samples.real ** q
+        return plain, maxed
+
+    return stacks
+
+
+def test_shared_band_stacks_match_per_sweep_point_reference(tmp_path, monkeypatch):
+    suites = ("cube-tail", "vector-maximal", "sharp-domination")
+
+    def run(outdir):
+        for seed in ("3", "8"):
+            for suite in suites:
+                args = ["audit", "--suite", suite, "--trials", "2", "--seed", seed, "--outdir", str(outdir / seed)]
+                assert cli.main(args) == 0
+
+    run(tmp_path / "shared")
+    monkeypatch.setattr(maximal, "_band_stacks", _reference_band_stacks)
+    monkeypatch.setattr(maximal, "_band", lambda grid, k, seed, trial: _reference_band_family(grid, [k], seed, trial)[0])
+    run(tmp_path / "reference")
+    for seed in ("3", "8"):
+        names = sorted(p.name for p in (tmp_path / "shared" / seed).iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "reference" / seed).iterdir())
+        assert len(names) == 10
+        for name in names:
+            assert (tmp_path / "shared" / seed / name).read_bytes() == (tmp_path / "reference" / seed / name).read_bytes(), name
+
+
+def _count_peetre_calls(monkeypatch):
+    calls = []
+    scan = maximal.peetre_maximal
+    monkeypatch.setattr(maximal, "peetre_maximal", lambda f, params: calls.append(params) or scan(f, params))
+    return calls
+
+
+def test_band_family_audits_compute_each_maximal_function_once(tmp_path, monkeypatch):
+    # every (grid, band, trial) pair once per audit call: 2 audits x 2 grids x 5 bands x 10 trials for
+    # vector-maximal, 2 x (6 bands x 6 trials + 3 witnesses) for cube-tail; peetre and sharp-domination as before
+    expected = {"peetre": 120, "vector-maximal": 200, "cube-tail": 78, "sharp-domination": 100}
+    calls = _count_peetre_calls(monkeypatch)
+    for suite, count in expected.items():
+        calls.clear()
+        assert cli.main(["audit", "--suite", suite, "--seed", "0", "--outdir", str(tmp_path)]) == 0
+        assert len(calls) == count, suite
+
+
+def test_band_family_audits_run_on_defaults_and_check_bands_first(monkeypatch):
+    rep = audit_fs_vector_inequality()
+    assert rep.params["J_list"] == [3, 4, 5]
+    calls = _count_peetre_calls(monkeypatch)
+    too_fine = [
+        lambda: audit_peetre_domination(bands=5),
+        lambda: audit_fs_vector_inequality(J_list=(3, 4, 5, 6)),
+        lambda: audit_infty_maximal(n=64),
+        lambda: audit_sharp_domination(J=7),
+    ]
+    for audit in too_fine:
+        with pytest.raises(ValueError, match="needs a finer grid"):
+            audit()
+    assert calls == []
+
+
 @settings(deadline=None, max_examples=15)
 @given(st.integers(0, 1000))
 def test_peetre_invariants(seed):
