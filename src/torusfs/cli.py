@@ -72,23 +72,23 @@ def _suite_peetre(cfg):
 
 
 def _suite_vector_maximal(cfg):
-    seed = int(cfg.get("seed", 0))
+    seed, trials = int(cfg.get("seed", 0)), int(cfg.get("trials", 10))
     return [
-        maximal.audit_fs_vector_inequality(p=2.0, q=2.0, sigma=2.0, seed=seed),
-        maximal.audit_fs_vector_inequality(p=2.0, q=2.0, sigma=0.2, seed=seed),
+        maximal.audit_fs_vector_inequality(p=2.0, q=2.0, sigma=2.0, seed=seed, trials=trials),
+        maximal.audit_fs_vector_inequality(p=2.0, q=2.0, sigma=0.2, seed=seed, trials=trials),
     ]
 
 
 def _suite_cube_tail(cfg):
-    seed = int(cfg.get("seed", 0))
+    seed, trials = int(cfg.get("seed", 0)), int(cfg.get("trials", 6))
     return [
-        maximal.audit_infty_maximal(q=2.0, sigma=1.0, seed=seed),
-        maximal.audit_infty_maximal(q=2.0, sigma=0.3, seed=seed),
+        maximal.audit_infty_maximal(q=2.0, sigma=1.0, seed=seed, trials=trials),
+        maximal.audit_infty_maximal(q=2.0, sigma=0.3, seed=seed, trials=trials),
     ]
 
 
 def _suite_sharp_domination(cfg):
-    return [maximal.audit_sharp_domination(q=2.0, seed=int(cfg.get("seed", 0)))]
+    return [maximal.audit_sharp_domination(q=2.0, seed=int(cfg.get("seed", 0)), trials=int(cfg.get("trials", 10)))]
 
 
 def _suite_fefferman_stein(cfg):
@@ -132,13 +132,13 @@ def _suite_fourier_series(cfg):
 
 
 def _suite_single_band(cfg):
-    seed = int(cfg.get("seed", 0))
+    seed, trials = int(cfg.get("seed", 0)), int(cfg.get("trials", 10))
     grid = Grid(1, int(cfg.get("n", 4096)))
     part = build_partition(9)
     return [
-        pseudo.audit_single_band(pseudo.Symbol.bessel(0.0), 2.0, grid=grid, partition=part, seed=seed),
-        pseudo.audit_single_band(pseudo.Symbol.bessel(-0.5), 2.0, grid=grid, partition=part, seed=seed),
-        pseudo.audit_single_band(pseudo.Symbol.sin_sin(), np.inf, ks=(3, 4, 5, 6), grid=Grid(1, 512), partition=build_partition(7), seed=seed),
+        pseudo.audit_single_band(pseudo.Symbol.bessel(0.0), 2.0, grid=grid, partition=part, seed=seed, trials=trials),
+        pseudo.audit_single_band(pseudo.Symbol.bessel(-0.5), 2.0, grid=grid, partition=part, seed=seed, trials=trials),
+        pseudo.audit_single_band(pseudo.Symbol.sin_sin(), np.inf, ks=(3, 4, 5, 6), grid=Grid(1, 512), partition=build_partition(7), seed=seed, trials=trials),
     ]
 
 
@@ -152,8 +152,8 @@ def _suite_kernel(cfg):
 
 
 def _suite_local_energy(cfg):
-    seed = int(cfg.get("seed", 0))
-    return [pseudo.audit_local_energy(pseudo.Symbol.bessel(0.0), build_partition(7), Grid(1, 512), seed=seed)]
+    seed, trials = int(cfg.get("seed", 0)), int(cfg.get("trials", 10))
+    return [pseudo.audit_local_energy(pseudo.Symbol.bessel(0.0), build_partition(7), Grid(1, 512), seed=seed, trials=trials)]
 
 
 _SUITES = {

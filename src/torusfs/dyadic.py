@@ -61,18 +61,13 @@ def block_reduce(arr: np.ndarray, mu: int, op=np.mean) -> np.ndarray:
     b = n // m
     if m * b != n:
         raise ValueError(f"scale {mu} not resolved by n={n}")
-    if arr.ndim == 1:
-        return op(arr.reshape(m, b), axis=1)
-    if arr.ndim == 2:
-        return op(arr.reshape(m, b, m, b), axis=(1, 3))
-    raise ValueError("only dim 1 or 2")
+    return op(arr.reshape((m, b) * arr.ndim), axis=tuple(range(1, 2 * arr.ndim, 2)))
 
 
 def expand_blocks(blocks: np.ndarray, n: int) -> np.ndarray:
     """Broadcast per-block values back to the full (n,)*d sample lattice."""
     m = blocks.shape[0]
     b = n // m
-    out = np.repeat(blocks, b, axis=0)
-    if blocks.ndim == 2:
-        out = np.repeat(out, b, axis=1)
-    return out
+    for axis in range(blocks.ndim):
+        blocks = np.repeat(blocks, b, axis=axis)
+    return blocks

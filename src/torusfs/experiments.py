@@ -38,7 +38,10 @@ of unity at exactly reduced integer indices.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
@@ -204,20 +207,18 @@ def rademacher_signs(cfg: LacunaryConfig, draw: int = 0) -> dict:
     return out
 
 
-def _sign_lookup_1d(signs: dict, cfg: LacunaryConfig, n_int: np.ndarray) -> np.ndarray:
-    """Sign of integer frequencies (0 where outside every shell)."""
-    out = np.zeros(n_int.shape)
-    absn = np.abs(n_int)
-    for k in cfg.scales():
-        lo, hi = cfg.shell_bounds(k)
+def _sign_box(cfg: LacunaryConfig, k: int, signs: dict) -> np.ndarray:
+    """Scale k's signs on the box {-hi..hi}^d of its shell (0 off the shell)."""
+    lo, hi = cfg.shell_bounds(k)
+    box = np.zeros((2 * hi + 1,) * cfg.d)
+    if cfg.d == 1:  # the (positive-side, negative-side) format of rademacher_signs
         pos, neg = signs[k]
-        mask = (absn >= lo) & (absn < hi)
-        if not np.any(mask):
-            continue
-        idx = absn[mask] - lo
-        vals = np.where(n_int[mask] > 0, pos[idx], neg[idx])
-        out[mask] = vals
-    return out
+        box[hi + lo : 2 * hi] = pos
+        box[hi - lo : 0 : -1] = neg
+    else:
+        pts, sg = signs[k]
+        box[pts[:, 0] + hi, pts[:, 1] + hi] = sg
+    return box
 
 
 def rademacher_multiplier(cfg: LacunaryConfig, draw: int = 0) -> Symbol:
@@ -225,67 +226,32 @@ def rademacher_multiplier(cfg: LacunaryConfig, draw: int = 0) -> Symbol:
 
     Each translated window reaches two units from its shell point, so each
     evaluation touches at most a handful of shell frequencies; the closure
-    scans those neighbors.
+    scans those neighbors and reads their signs from one box per scale.
     """
     signs = rademacher_signs(cfg, draw)
     lp = LPPartition(J=3)
-    weights = {k: 2.0 ** (cfg.zeta(k) * cfg.m) for k in cfg.scales()}
+    boxes = [
+        (cfg.shell_bounds(k)[1], _sign_box(cfg, k, signs), 2.0 ** (cfg.zeta(k) * cfg.m)) for k in cfg.scales()
+    ]
 
-    def scale_weight(n_int):
-        w = np.zeros(n_int.shape)
-        absn = np.abs(n_int)
-        for k in cfg.scales():
-            lo, hi = cfg.shell_bounds(k)
-            w[(absn >= lo) & (absn < hi)] = weights[k]
-        return w
-
-    if cfg.d == 1:
-
-        def g(xi):
-            xi = np.asarray(xi, dtype=float)
-            base = np.floor(xi).astype(np.int64)
-            acc = np.zeros(xi.shape, dtype=complex)
-            for off in range(-2, 4):
-                n = base + off
-                w = lp.mother(np.abs(xi - n))
-                if not np.any(w):
-                    continue
-                acc += _sign_lookup_1d(signs, cfg, n) * scale_weight(n) * w
-            return acc
-
-        return Symbol.multiplier(g, cfg.m, 1, f"rademacher(L={cfg.L},seed={cfg.seed},draw={draw})")
-
-    # d = 2: signs in a box array per scale
-    boxes = {}
-    for k in cfg.scales():
-        lo, hi = cfg.shell_bounds(k)
-        pts, sg = signs[k]
-        box = np.zeros((2 * hi + 1, 2 * hi + 1))
-        box[pts[:, 0] + hi, pts[:, 1] + hi] = sg
-        boxes[k] = (hi, box)
-
-    def g2(xi1, xi2):
-        xi1 = np.asarray(xi1, dtype=float)
-        xi2 = np.asarray(xi2, dtype=float)
-        b1 = np.floor(xi1).astype(np.int64)
-        b2 = np.floor(xi2).astype(np.int64)
-        acc = np.zeros(np.broadcast(xi1, xi2).shape, dtype=complex)
-        for o1 in range(-2, 4):
-            for o2 in range(-2, 4):
-                n1, n2 = b1 + o1, b2 + o2
-                w = lp.mother(np.hypot(xi1 - n1, xi2 - n2))
-                if not np.any(w):
-                    continue
-                sgn = np.zeros(acc.shape)
-                for k in cfg.scales():
-                    hi, box = boxes[k]
-                    inside = (np.abs(n1) <= hi) & (np.abs(n2) <= hi)
-                    vals = np.where(inside, box[np.clip(n1 + hi, 0, 2 * hi), np.clip(n2 + hi, 0, 2 * hi)], 0.0)
-                    sgn = np.where(vals != 0, vals * weights[k], sgn)
-                acc += sgn * w
+    def g(*xi):
+        xi = [np.asarray(v, dtype=float) for v in xi]
+        base = [np.floor(v).astype(np.int64) for v in xi]
+        acc = np.zeros(np.broadcast(*xi).shape, dtype=complex)
+        for offsets in itertools.product(range(-2, 4), repeat=cfg.d):
+            ns = [b + o for b, o in zip(base, offsets)]
+            w = lp.mother(functools.reduce(np.hypot, [np.abs(v - n) for v, n in zip(xi, ns)]))
+            if not np.any(w):
+                continue
+            sgn = np.zeros(acc.shape)
+            for hi, box, weight in boxes:
+                inside = functools.reduce(operator.and_, [np.abs(n) <= hi for n in ns])
+                vals = np.where(inside, box[tuple(np.clip(n + hi, 0, 2 * hi) for n in ns)], 0.0)
+                sgn = np.where(vals != 0, vals * weight, sgn)
+            acc += sgn * w
         return acc
 
-    return Symbol.multiplier(g2, cfg.m, 2, f"rademacher(L={cfg.L},seed={cfg.seed},draw={draw})")
+    return Symbol.multiplier(g, cfg.m, cfg.d, f"rademacher(L={cfg.L},seed={cfg.seed},draw={draw})")
 
 
 def multiplier_on_lattice(cfg: LacunaryConfig, grid: Grid, draw: int = 0) -> np.ndarray:
@@ -295,6 +261,8 @@ def multiplier_on_lattice(cfg: LacunaryConfig, grid: Grid, draw: int = 0) -> np.
     sign_n * phihat(xi - n) from the shell points n within distance 2.  Each
     shell side and tap is one slice add: a shell point c feeds index
     c + delta, and -c feeds grid.n - c + delta, in reverse shell order.
+    Kept beside the closure because every growth-experiment draw needs the
+    multiplier on a lattice of up to 2^21 points.
     """
     if cfg.d != 1 or grid.dim != 1:
         raise ValueError("lattice fast path is one-dimensional")
@@ -356,7 +324,7 @@ def atom_train_spectrum(cfg: RandomAtomConfig, grid: Grid, draw: int = 0):
         if len(active) == 0:
             continue
         roots = _dyadic_roots(z)
-        if cfg.d == 1:
+        if cfg.d == 1:  # kept fast path: criterion 8's draws sum phases over 2^22-point lattices
             # The train is real, so its spectrum at -r is the conjugate of that
             # at r: only the positive radii a..a+m-1, the first m table entries,
             # are evaluated.  A last Nyquist entry holds the window at
@@ -735,6 +703,13 @@ def _band_lp_norms(spec: np.ndarray) -> dict:
     return {j: float(np.sqrt(np.sum(np.abs(piece) ** 2))) for j, _, piece in _band_pieces(spec)}
 
 
+def _lq(norms: dict, q: float) -> float:
+    """l^q combination of per-band norms, summed in ascending band order."""
+    if np.isinf(q):
+        return max(norms.values())
+    return float(np.sum([norms[j] ** q for j in sorted(norms)]) ** (1.0 / q))
+
+
 def _fspace_draw(args) -> tuple:
     lac_args, atom_args, p, q, t, draw = args
     lac = LacunaryConfig(**lac_args)
@@ -778,12 +753,17 @@ def _run_tasks(worker, batches, workers: int) -> list:
     return out
 
 
-def _check_sweep(lac: LacunaryConfig, L_list, draws: int, **exponents) -> list:
+def _check_sweep(lac: LacunaryConfig, atoms: RandomAtomConfig, L_list, draws: int, **exponents) -> list:
     """The top scales to sweep (default k0..L), once the sweep is known to be well posed.
 
-    Every exponent must be > 0 (inf allowed), a moment needs at least one
+    Both configurations must be one-dimensional and share the scale map,
+    every exponent must be > 0 (inf allowed), a moment needs at least one
     draw and a growth slope two top scales.
     """
+    if lac.d != 1 or atoms.d != 1:
+        raise ValueError("growth experiments are one-dimensional")
+    if lac.spacing != atoms.spacing or lac.k0 != atoms.k0:
+        raise ValueError("multiplier and train must share the scale map")
     for name, value in exponents.items():
         if not value > 0:
             raise ValueError(f"{name} must be > 0, got {value}")
@@ -816,11 +796,7 @@ def fspace_growth_experiment(
     output exponent about 1/t.  Also records the empirical floor of the
     single-active-cube probability per scale.
     """
-    if lac.d != 1 or atoms.d != 1:
-        raise ValueError("growth experiments are one-dimensional")
-    if lac.spacing != atoms.spacing or lac.k0 != atoms.k0:
-        raise ValueError("multiplier and train must share the scale map")
-    L_list = _check_sweep(lac, L_list, draws, p=p, q=q, t=t)
+    L_list = _check_sweep(lac, atoms, L_list, draws, p=p, q=q, t=t)
     rows = []
     draw_rows = []
     counts, in_vals, out_vals = [], [], []
@@ -911,15 +887,14 @@ def bspace_growth_experiment(
     of the per-scale profile, the whole coefficient vector is calibrated so
     the measured input norm equals 1 for every L (window overlap between
     neighboring scales would otherwise drift it by an L-dependent factor),
-    making the output norm a direct operator-norm lower bound.  The
+    making the output norm a direct operator-norm lower bound; the
+    calibrated input is evaluated again and its band norm reported.  The
     expectation over sign draws is Monte Carlo; all band norms here are
     L^p with p = 2, evaluated spectrally.
     """
     if p != 2.0:
         raise ValueError("the band-norm experiment is pinned to p = 2 (spectral evaluation)")
-    if lac.d != 1:
-        raise ValueError("one-dimensional")
-    L_list = _check_sweep(lac, L_list, draws, p=p, q=q, t=t)
+    L_list = _check_sweep(lac, atoms, L_list, draws, p=p, q=q, t=t)
     designed_eps = 1.0 / t - 1.0 / q
     rows = []
     draw_rows = []
@@ -929,28 +904,23 @@ def bspace_growth_experiment(
         _tables_for(L)
         lac_L = replace(lac, L=L)
         atoms_L = replace(atoms, L=L)
-        coeffs = lacunary_coeffs(atoms_L, q)
         grid_in = Grid(1, 2 ** (atoms_L.zeta(L) + 6))
-        g = lacunary_test_function(atoms_L, grid_in, q=q, coeffs=coeffs)
-        in_band = _band_lp_norms(g.spectrum)
-        ks = sorted(in_band)
-        raw_in = float(np.sum([in_band[j] ** q for j in ks]) ** (1.0 / q)) if not np.isinf(q) else max(in_band.values())
+        coeffs = lacunary_coeffs(atoms_L, q)
+        raw_in = _lq(_band_lp_norms(lacunary_test_function(atoms_L, grid_in, coeffs=coeffs).spectrum), q)
         coeffs = {k: c / raw_in for k, c in coeffs.items()}  # calibrate the input norm to 1
         raw_ins.append(raw_in)
+        in_vals.append(_lq(_band_lp_norms(lacunary_test_function(atoms_L, grid_in, coeffs=coeffs).spectrum), q))
         zc_pairs = tuple((atoms_L.zeta(k), coeffs[k]) for k in atoms_L.scales())
         batches.append((L, [(asdict(lac_L), zc_pairs, t, draw) for draw in range(draws)]))
-    for L, raw_in, results in zip(L_list, raw_ins, _run_tasks(_bspace_draw, batches, workers)):
-        in_norm = 1.0
+    for L, raw_in, in_norm, results in zip(L_list, raw_ins, in_vals, _run_tasks(_bspace_draw, batches, workers)):
         moments = []
         for draw, norms in results:
-            js = sorted(norms)
-            val = float(np.sum([norms[j] ** t for j in js]) ** (1.0 / t)) if not np.isinf(t) else max(norms.values())
+            val = _lq(norms, t)
             draw_rows.append({"L": L, "draw": draw, "output_norm": val})
             moments.append(val**t if not np.isinf(t) else val)
         out_norm = float(np.mean(moments) ** (1.0 / t)) if not np.isinf(t) else float(np.mean(moments))
         count = L - lac.k0 + 1
         counts.append(count)
-        in_vals.append(in_norm)
         out_vals.append(out_norm)
         rows.append({"L": L, "scales": count, "input_norm": in_norm, "raw_input_norm": raw_in, "output_norm": out_norm})
     in_drift = _drift(in_vals)

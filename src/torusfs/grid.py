@@ -92,10 +92,7 @@ class Grid:
 
     def coords(self) -> tuple:
         """Meshgrid ('ij') of sample coordinates, one array per axis."""
-        x = self.axis_coords()
-        if self.dim == 1:
-            return (x,)
-        return tuple(np.meshgrid(x, x, indexing="ij"))
+        return tuple(np.meshgrid(*[self.axis_coords()] * self.dim, indexing="ij"))
 
     def axis_freqs(self) -> np.ndarray:
         """Frequencies along one axis in FFT order."""
@@ -103,10 +100,7 @@ class Grid:
 
     def freqs(self) -> tuple:
         """Meshgrid ('ij') of frequencies in FFT order, one array per axis."""
-        k = self.axis_freqs()
-        if self.dim == 1:
-            return (k,)
-        return tuple(np.meshgrid(k, k, indexing="ij"))
+        return tuple(np.meshgrid(*[self.axis_freqs()] * self.dim, indexing="ij"))
 
     def freq_radii(self) -> np.ndarray:
         """|xi| on the frequency lattice, FFT order."""

@@ -16,7 +16,7 @@ realization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, partial, reduce
 
 import numpy as np
 
@@ -192,12 +192,10 @@ def vector_sharp(gs, q: float, n: int, k0: int | None = None) -> GridFunction:
 def _ball_lattice(radius: float, dim: int) -> np.ndarray:
     """Integer frequency points with |xi| <= radius, in a fixed order."""
     r = int(np.floor(radius))
-    axis = np.arange(-r, r + 1)
-    if dim == 1:
-        return axis.reshape(-1, 1)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    return pts[np.hypot(pts[:, 0], pts[:, 1]) <= radius]
+    box = np.indices((2 * r + 1,) * dim) - r  # box[i] is the i-th coordinate on {-r..r}^d
+    # np.hypot folded over the axes: |xi| in 1-D, and in 2-D np.hypot's own bits, which a root of a sum of squares misses
+    keep = reduce(np.hypot, np.abs(box)).ravel() <= radius
+    return box.reshape(dim, -1).T[keep]
 
 
 def band_limited_function(grid: Grid, radius: float, rng=None, kind: str = "random", anchor=None) -> GridFunction:

@@ -74,11 +74,6 @@ class Symbol:
         if self.kind == "grid-sampled" and (self.table is None or self.grid is None):
             raise ValueError("grid-sampled symbols need a table and its grid")
 
-    def __call__(self, x, xi):
-        x = tuple(np.asarray(v, dtype=float) for v in (x if isinstance(x, tuple) else (x,)))
-        xi = tuple(np.asarray(v, dtype=float) for v in (xi if isinstance(xi, tuple) else (xi,)))
-        return np.asarray(self.fn(x, xi), dtype=complex)
-
     @classmethod
     def multiplier(cls, g, order: float, dim: int = 1, name: str = "") -> "Symbol":
         """x-independent symbol from a function of the frequency axes."""
@@ -252,8 +247,8 @@ def _as_multi(idx, dim) -> tuple:
 
 def _fd_sup(a: Symbol, alpha, beta, weight_exp, x_axes, xi_axes, hx, hxi) -> float:
     dim = a.dim
-    xg = np.meshgrid(*x_axes, indexing="ij") if dim == 2 else [x_axes[0]]
-    kg = np.meshgrid(*xi_axes, indexing="ij") if dim == 2 else [xi_axes[0]]
+    xg = np.meshgrid(*x_axes, indexing="ij")
+    kg = np.meshgrid(*xi_axes, indexing="ij")
     # broadcast: x occupies the leading axes, xi the trailing ones
     x_b = tuple(v.reshape(v.shape + (1,) * dim) for v in xg)
     k_b = tuple(v.reshape((1,) * dim + v.shape) for v in kg)

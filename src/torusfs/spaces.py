@@ -371,10 +371,9 @@ def build_phi_family(smoothness: int = 1, band_shift: int = 2) -> PhiTransformFa
 def _fold_spectrum(spec: np.ndarray, m: int) -> np.ndarray:
     """Alias-fold an FFT-ordered spectrum onto an m-point lattice per axis."""
     n = spec.shape[0]
-    if spec.ndim == 1:
-        return spec.reshape(n // m, m).sum(axis=0)
-    folded = spec.reshape(n // m, m, n).sum(axis=0)
-    return folded.reshape(m, n // m, m).sum(axis=1)
+    for axis in range(spec.ndim):
+        spec = spec.reshape(spec.shape[:axis] + (n // m, m) + spec.shape[axis + 1 :]).sum(axis=axis)
+    return spec
 
 
 def phi_analyze(f: GridFunction, fam: PhiTransformFamily, max_depth: int) -> CoeffField:

@@ -129,6 +129,14 @@ def test_audit_every_suite_exits_zero(tmp_path):
     assert not_passed == {"audit-peetre-1", "audit-vector-maximal-1", "audit-cube-tail-1"}
 
 
+@pytest.mark.parametrize("suite", ["vector-maximal", "cube-tail", "sharp-domination", "single-band", "local-energy"])
+def test_audit_trials_option_reaches_every_trial_loop(suite, tmp_path):
+    assert main(["audit", "--suite", suite, "--trials", "2", "--outdir", str(tmp_path)]) == 0
+    reports = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("audit-*.json"))]
+    assert reports
+    assert all(rep["params"]["trials"] == 2 for rep in reports)
+
+
 def test_audit_outside_hypothesis_passes_by_failing(tmp_path, monkeypatch):
     # a report flagged outside its hypothesis is a necessity run: detecting the failure is the pass
     def necessity(passed):

@@ -309,6 +309,47 @@ def test_growth_experiments_reject_single_L():
         bspace_growth_experiment(lac, atoms, 2.0, 2.0, 1.0, draws=2, L_list=[5])
 
 
+@pytest.mark.parametrize("experiment", [fspace_growth_experiment, bspace_growth_experiment])
+@pytest.mark.parametrize(
+    "lac, atoms, match",
+    [
+        (LacunaryConfig(L=4, spacing=1), RandomAtomConfig(L=4, spacing=2), "share the scale map"),
+        (LacunaryConfig(L=4, spacing=2, k0=3), RandomAtomConfig(L=4, spacing=2, k0=2), "share the scale map"),
+        (LacunaryConfig(L=4, spacing=2), RandomAtomConfig(L=4, spacing=2, d=2), "one-dimensional"),
+    ],
+)
+def test_growth_experiments_check_configurations_before_any_work(experiment, lac, atoms, match, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the configurations were checked")
+
+    monkeypatch.setattr(experiments, "_tables_for", no_work)
+    monkeypatch.setattr(experiments, "_run_tasks", no_work)
+    with pytest.raises(ValueError, match=match):
+        experiment(lac, atoms, 2.0, 2.0, 1.0, draws=2)
+
+
+def test_bspace_input_drift_measures_the_calibrated_input(monkeypatch):
+    lac = LacunaryConfig(L=5, spacing=2, m=0.0, seed=3)
+    atoms = RandomAtomConfig(L=5, spacing=2, p=2.0, seed=3)
+    rep = bspace_growth_experiment(lac, atoms, 2.0, 2.0, 1.0, draws=4)
+    assert all(abs(row["input_norm"] - 1.0) < 1e-12 for row in rep.table)
+    assert rep.details["input_drift"] < 1e-12
+    assert rep.passed
+    # perturb only the evaluation of the calibrated coefficients, by an L-dependent factor
+    plain = experiments.lacunary_test_function
+
+    def perturbed(cfg, grid, q=2.0, coeffs=None):
+        f = plain(cfg, grid, q=q, coeffs=coeffs)
+        if coeffs is None or coeffs == lacunary_coeffs(cfg, 2.0):
+            return f
+        return GridFunction.from_spectrum(grid, f.spectrum * (1.0 + cfg.L / 4.0))
+
+    monkeypatch.setattr(experiments, "lacunary_test_function", perturbed)
+    rep = bspace_growth_experiment(lac, atoms, 2.0, 2.0, 1.0, draws=4)
+    assert rep.details["input_drift"] > 0.10
+    assert not rep.passed
+
+
 def test_growth_reports_identical_serial_and_pooled():
     lac = LacunaryConfig(L=5, spacing=2, m=0.0, seed=31)
     atoms = RandomAtomConfig(L=5, spacing=2, p=2.0, seed=31)
