@@ -62,13 +62,9 @@ def _suite_partition(cfg):
 
 
 def _suite_peetre(cfg):
-    seed = int(cfg.get("seed", 0))
-    t = float(cfg.get("t", 1.0))
-    d = int(cfg.get("d", 1))
-    return [
-        maximal.audit_peetre_domination(sigma=d / t + 0.5, t=t, d=d, seed=seed, trials=int(cfg.get("trials", 10))),
-        maximal.audit_peetre_domination(sigma=d / t - 0.5, t=t, d=d, seed=seed, trials=int(cfg.get("trials", 10))),
-    ]
+    t, d = float(cfg.get("t", 1.0)), int(cfg.get("d", 1))
+    sigmas = (d / t + 0.5, d / t - 0.5)
+    return maximal.audit_peetre_domination(sigmas=sigmas, t=t, d=d, seed=int(cfg.get("seed", 0)), trials=int(cfg.get("trials", 10)))
 
 
 def _suite_vector_maximal(cfg):
@@ -92,8 +88,7 @@ def _suite_sharp_domination(cfg):
 
 
 def _suite_fefferman_stein(cfg):
-    seed = int(cfg.get("seed", 0))
-    return [maximal.audit_fefferman_stein(p=p, seed=seed, trials=int(cfg.get("trials", 30))) for p in (1.5, 2.0, 4.0)]
+    return maximal.audit_fefferman_stein(ps=(1.5, 2.0, 4.0), seed=int(cfg.get("seed", 0)), trials=int(cfg.get("trials", 30)))
 
 
 def _suite_khintchine(cfg):
@@ -107,13 +102,8 @@ def _suite_khintchine(cfg):
 
 
 def _suite_frame(cfg):
-    seed = int(cfg.get("seed", 0))
-    trials = int(cfg.get("trials", 20))
-    return [
-        spaces.norm_equivalence_audit(trials, spaces.SpaceParams(0.0, 2.0, 2.0, "triebel"), seed=seed),
-        spaces.norm_equivalence_audit(trials, spaces.SpaceParams(0.5, 1.0, 2.0, "triebel"), seed=seed),
-        spaces.norm_equivalence_audit(trials, spaces.SpaceParams(-0.3, 3.0, 1.5, "triebel"), seed=seed),
-    ]
+    sps = [spaces.SpaceParams(s, p, q, "triebel") for s, p, q in ((0.0, 2.0, 2.0), (0.5, 1.0, 2.0), (-0.3, 3.0, 1.5))]
+    return spaces.norm_equivalence_audit(int(cfg.get("trials", 20)), sps, seed=int(cfg.get("seed", 0)))
 
 
 def _suite_fourier_series(cfg):
@@ -247,6 +237,8 @@ def _cmd_audit(cfg) -> int:
     suite = cfg.get("suite", "partition")
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)} or 'all'")
+    if "trials" in cfg and int(cfg["trials"]) < 1:
+        raise ValueError(f"trials must be >= 1, got {cfg['trials']}")
     names = list(_SUITES) if suite == "all" else [suite]
     status = 0
     raised = []

@@ -5,8 +5,8 @@ decay-weighted shifted supremum operator used to control band-limited
 functions, dyadic sharp (mean-oscillation) maximal functions, and their
 vector-valued combinations over band families.  The audit functions measure
 the constants in the corresponding inequalities over seeded random families
-and report growth/stability diagnostics.  The band-family audits compute each
-(band, trial) maximal function once per call and sum their stacks from it.
+and report growth/stability diagnostics.  Each audit call computes a seeded
+input and its parameter-free maximal functions once, for every sweep point.
 
 All suprema over continuous shifts are taken over the sample lattice with
 periodic distance; inputs are band-limited so this is a faithful desk-scale
@@ -278,31 +278,40 @@ def _doubling_audit(name, params, d, ns, xs, key, trials, ratio, details) -> Aud
 def audit_peetre_domination(
     bands: int = 3,
     trials: int = 20,
-    sigma: float = 1.5,
+    sigmas=(1.5,),
     t: float = 1.0,
     d: int = 1,
     ns=(256, 512),
     seed: int = 0,
-) -> AuditReport:
-    """Measure sup_x of the weighted-sup operator against the t-maximal one.
+) -> list[AuditReport]:
+    """Measure sup_x of the weighted-sup operator against the t-maximal one, one report per sigma.
 
     For each band k the inputs have spectrum in {|xi| <= 2^(k+1)} and the
     weighted sup uses decay scale r = 2^k.  The recorded constant should be
     stable in k and under grid doubling iff sigma >= d/t; below that
     threshold the spike input (trial 0) makes it grow like 2^(k (d/t - sigma)).
     """
+    if t <= 0 or any(sigma <= 0 for sigma in sigmas):
+        raise ValueError("sigma and t must be positive")
     ks = list(range(3, 3 + bands))
     _check_top_band(ks[-1], d, ns)
 
-    def ratio(grid, k, trial):
+    @cache
+    def draw(grid, k, trial):
         rng = np.random.default_rng([seed, k, trial])
         u = band_limited_function(grid, 2.0 ** (k + 1), rng, kind="spike" if trial == 0 else "random")
-        num = peetre_maximal(u, PeetreParams(sigma, 2.0**k)).samples.real
-        return _safe_ratio_max(num, hl_maximal(u, "centered", t).samples.real)
+        return u, hl_maximal(u, "centered", t).samples.real
 
-    params = {"bands": bands, "trials": trials, "sigma": sigma, "t": t, "d": d, "ns": list(ns), "seed": seed}
-    details = {"sigma_critical": d / t, "outside_hypothesis": sigma < d / t}
-    return _doubling_audit("peetre-domination", params, d, ns, ks, "band", trials, ratio, details)
+    def report(sigma):
+        def ratio(grid, k, trial):
+            u, den = draw(grid, k, trial)
+            return _safe_ratio_max(peetre_maximal(u, PeetreParams(sigma, 2.0**k)).samples.real, den)
+
+        params = {"bands": bands, "trials": trials, "sigma": sigma, "t": t, "d": d, "ns": list(ns), "seed": seed}
+        details = {"sigma_critical": d / t, "outside_hypothesis": sigma < d / t}
+        return _doubling_audit("peetre-domination", params, d, ns, ks, "band", trials, ratio, details)
+
+    return [report(sigma) for sigma in sigmas]
 
 
 def _band(grid: Grid, k: int, seed: int, trial: int) -> GridFunction:
@@ -471,40 +480,47 @@ def audit_sharp_domination(
 
 
 def audit_fefferman_stein(
-    p: float = 2.0,
+    ps=(2.0,),
     trials: int = 50,
     d: int = 1,
     ns=(128, 256),
     seed: int = 0,
     band_radius: float = 24.0,
-) -> AuditReport:
-    """Dyadic maximal vs dyadic sharp maximal in L^p, on mean-zero inputs.
+) -> list[AuditReport]:
+    """Dyadic maximal vs dyadic sharp maximal in L^p, on mean-zero inputs, one report per p.
 
     On the torus the unit cube is the largest dyadic cube, so the global
     mean must vanish for the sharp function to control the maximal one; the
     inputs are band-limited with zero mean and identical across grid sizes,
     making the doubling comparison tight.
     """
-    if p <= 1:
+    if any(p <= 1 for p in ps):
         raise ValueError("p must be > 1")
 
-    def ratio(grid, trial):
+    @cache
+    def maximals(grid, trial):
         f = band_limited_function(grid, band_radius, np.random.default_rng([seed, trial]), kind="random")
         spec = f.spectrum.copy()
         spec[(0,) * d] = 0.0  # mean zero
         f = GridFunction.from_spectrum(grid, spec)
-        num = hl_maximal(f, "dyadic", 1.0).lp_norm(p)
-        den = GridFunction.from_samples(grid, dyadic_sharp(f).samples.real).lp_norm(p)
-        return num / den if den > 0 else None
+        return hl_maximal(f, "dyadic", 1.0), GridFunction.from_samples(grid, dyadic_sharp(f).samples.real)
 
-    per_n = [_best(range(trials), partial(ratio, Grid(d, n))) for n in ns]
-    drift = _drift(per_n)
-    return AuditReport(
-        name="fefferman-stein-dyadic-sharp",
-        params={"p": p, "trials": trials, "d": d, "ns": list(ns), "seed": seed, "band_radius": band_radius},
-        constant=max(per_n),
-        table=[{"n": n, "constant": c} for n, c in zip(ns, per_n)],
-        passed=drift <= _DRIFT_TOL,
-        tolerance=_DRIFT_TOL,
-        details={"doubling_drift": drift},
-    )
+    def report(p):
+        def ratio(grid, trial):
+            m, sharp = maximals(grid, trial)
+            den = sharp.lp_norm(p)
+            return m.lp_norm(p) / den if den > 0 else None
+
+        per_n = [_best(range(trials), partial(ratio, Grid(d, n))) for n in ns]
+        drift = _drift(per_n)
+        return AuditReport(
+            name="fefferman-stein-dyadic-sharp",
+            params={"p": p, "trials": trials, "d": d, "ns": list(ns), "seed": seed, "band_radius": band_radius},
+            constant=max(per_n),
+            table=[{"n": n, "constant": c} for n, c in zip(ns, per_n)],
+            passed=drift <= _DRIFT_TOL,
+            tolerance=_DRIFT_TOL,
+            details={"doubling_drift": drift},
+        )
+
+    return [report(p) for p in ps]

@@ -109,12 +109,10 @@ def test_criterion_03_sign_sum_moments():
 
 
 def test_criterion_04_maximal_suite():
-    above = audit_peetre_domination(bands=3, trials=10, sigma=1.5, t=1.0, ns=(256, 512), seed=1)
-    below = audit_peetre_domination(bands=3, trials=10, sigma=0.5, t=1.0, ns=(256, 512), seed=1)
+    above, below = audit_peetre_domination(bands=3, trials=10, sigmas=(1.5, 0.5), t=1.0, ns=(256, 512), seed=1)
     ok = above.passed and above.details["doubling_drift"] <= 0.10 and not below.passed
     drifts = []
-    for p in (1.5, 2.0, 4.0):
-        rep = audit_fefferman_stein(p=p, trials=40, ns=(128, 256), seed=2)
+    for rep in audit_fefferman_stein(ps=(1.5, 2.0, 4.0), trials=40, ns=(128, 256), seed=2):
         drifts.append(rep.details["doubling_drift"])
         ok &= rep.passed and rep.details["doubling_drift"] <= 0.10
     _verdict(4, "maximal inequalities", ok,
@@ -132,8 +130,7 @@ def test_criterion_05_frame_transform_and_atoms():
         worst_rt = max(worst_rt, np.max(np.abs(back.samples - f.samples)) / np.max(np.abs(f.samples)))
     ok = worst_rt < 1e-8
     intervals = []
-    for sp in (SpaceParams(0.0, 2.0, 2.0), SpaceParams(0.5, 1.0, 2.0), SpaceParams(-0.3, 3.0, 1.5)):
-        rep = norm_equivalence_audit(50, sp, seed=3)
+    for rep in norm_equivalence_audit(50, (SpaceParams(0.0, 2.0, 2.0), SpaceParams(0.5, 1.0, 2.0), SpaceParams(-0.3, 3.0, 1.5)), seed=3):
         intervals.append((round(rep.table[-1]["ratio_min"], 3), round(rep.table[-1]["ratio_max"], 3)))
         ok &= rep.passed
     sp = SpaceParams(0.2, 0.7, 1.0)

@@ -163,6 +163,15 @@ def test_audit_all_isolates_a_raising_suite(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "none").exists()
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("suite", ["all", "peetre", "cube-tail", "fourier-series"])
+def test_audit_rejects_trials_below_one_before_any_suite(tmp_path, capsys, suite, trials):
+    # with no trials an audit would reach a verdict on nothing, or crash
+    assert main(["audit", "--suite", suite, "--trials", trials, "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"config error: trials must be >= 1, got {trials}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_merging_and_errors(tmp_path, sample_input):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"space": "F", "s": 0.0, "p": 2.0, "q": 2.0, "input": str(sample_input)}))

@@ -341,13 +341,12 @@ def test_vector_sharp_empty():
 
 
 def test_peetre_domination_audit():
-    rep = audit_peetre_domination(bands=3, trials=8, sigma=1.5, t=1.0, ns=(256, 512), seed=0)
+    rep, below = audit_peetre_domination(bands=3, trials=8, sigmas=(1.5, 0.5), t=1.0, ns=(256, 512), seed=0)
     assert rep.passed
     assert rep.details["doubling_drift"] <= 0.10
     assert not rep.details["outside_hypothesis"]
-    rep = audit_peetre_domination(bands=3, trials=8, sigma=0.5, t=1.0, ns=(256, 512), seed=0)
-    assert not rep.passed
-    assert rep.details["outside_hypothesis"]
+    assert not below.passed
+    assert below.details["outside_hypothesis"]
 
 
 def test_peetre_domination_constant_inputs_have_unit_ratio():
@@ -387,8 +386,7 @@ def test_sharp_domination_audit():
 
 
 def test_fefferman_stein_audit():
-    for p in (1.5, 2.0, 4.0):
-        rep = audit_fefferman_stein(p=p, trials=20, ns=(128, 256), seed=0)
+    for p, rep in zip((1.5, 2.0, 4.0), audit_fefferman_stein(ps=(1.5, 2.0, 4.0), trials=20, ns=(128, 256), seed=0)):
         assert rep.passed, f"p={p}: drift {rep.details['doubling_drift']}"
 
 

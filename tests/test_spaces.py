@@ -338,12 +338,12 @@ def test_round_trip_on_window_atom():
 
 
 def test_norm_equivalence_audit_three_triples():
-    for sp in (
+    sps = (
         SpaceParams(0.0, 2.0, 2.0, "triebel"),
         SpaceParams(0.5, 1.0, 2.0, "triebel"),
         SpaceParams(-0.3, 3.0, 1.5, "triebel"),
-    ):
-        rep = norm_equivalence_audit(20, sp, seed=0)
+    )
+    for sp, rep in zip(sps, norm_equivalence_audit(20, sps, seed=0)):
         assert rep.passed, (sp, rep.details)
         row = rep.table[0]
         assert 0 < row["ratio_min"] <= row["ratio_max"] < np.inf
