@@ -63,6 +63,8 @@ def _suite_partition(cfg):
 
 def _suite_peetre(cfg):
     t, d = float(cfg.get("t", 1.0)), int(cfg.get("d", 1))
+    if not t > 0:  # the sigmas below divide by t
+        raise ValueError("sigma and t must be positive")
     sigmas = (d / t + 0.5, d / t - 0.5)
     return maximal.audit_peetre_domination(sigmas=sigmas, t=t, d=d, seed=int(cfg.get("seed", 0)), trials=int(cfg.get("trials", 10)))
 

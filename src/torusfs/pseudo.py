@@ -12,15 +12,16 @@ the relative position of its x-spectrum band j and frequency band k, band
 kernels with their adjoint-side symbols, and the audits that measure the
 single-band operator-norm growth, the local L^2 energy decay, and the
 kernel weight bounds.  ``boundedness_region`` is the pure decision table
-for the mapping exponents.
+for the mapping exponents.  The single-band and local-energy audits
+quantize each band piece once per call, so a probe costs one contraction.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -201,22 +202,29 @@ def apply(a: Symbol, f: GridFunction, check: bool = True) -> GridFunction:
         return GridFunction.from_spectrum(grid, a.multiplier_values(grid) * f.spectrum)
     if check:
         oscillation_check(a, grid)
-    spec = f.spectrum
-    nz = np.nonzero(spec)
-    coeffs = spec[nz] / grid.period**grid.dim
+    return _contract(_columns(a, grid, np.nonzero(f.spectrum)), f)
+
+
+def _columns(a: Symbol, grid: Grid, nz):
+    """(slice of ``nz``, a(x, xi) e^{2 pi i <x, xi>} over those frequencies), at most 2^22 values a chunk."""
     freqs = grid.axis_freqs()
     xi_vals = [freqs[idx] for idx in nz]
-    xs = grid.coords()
-    out = np.zeros(grid.shape, dtype=complex)
+    x_b = tuple(v[..., None] for v in grid.coords())
     chunk = max(1, int(2**22 // max(grid.size, 1)))
-    for start in range(0, len(coeffs), chunk):
+    for start in range(0, len(xi_vals[0]), chunk):
         sl = slice(start, start + chunk)
-        x_b = tuple(v[..., None] for v in xs)
         xi_b = tuple(v[sl][(None,) * grid.dim + (slice(None),)] for v in xi_vals)
         phase = np.exp(2j * np.pi * sum(xb * kb for xb, kb in zip(x_b, xi_b)))
-        vals = np.asarray(a.fn(x_b, xi_b), dtype=complex)
-        out += np.einsum("...m,m->...", vals * phase, coeffs[sl])
-    return GridFunction.from_samples(grid, out)
+        yield sl, np.asarray(a.fn(x_b, xi_b), dtype=complex) * phase
+
+
+def _contract(columns, f: GridFunction) -> GridFunction:
+    """period^{-d} sum_xi col(x, xi) fhat(xi), one chunk of ``_columns`` at a time."""
+    coeffs = f.spectrum[np.nonzero(f.spectrum)] / f.grid.period**f.grid.dim
+    out = np.zeros(f.grid.shape, dtype=complex)
+    for sl, cols in columns:
+        out += np.einsum("...m,m->...", cols, coeffs[sl])
+    return GridFunction.from_samples(f.grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +399,42 @@ def band_symbol(a: Symbol, partition: LPPartition, k: int, grid: Grid) -> Symbol
             return mult(x, xi) * win
 
         return Symbol(fn=g, order=a.order, kind="multiplier", dim=a.dim, name=f"{a.name}|band{k}")
-    table = _symbol_table(a, grid)
+    return _sampled_band(a, partition, k, grid, np.fft.fft(_symbol_table(a, grid), axis=0))
+
+
+def _sampled_band(a: Symbol, partition: LPPartition, k: int, grid: Grid, ahat: np.ndarray) -> Symbol:
+    """band_symbol of an x-dependent a, from the x-FFT ``ahat`` of its table."""
     low = _cum_lattice_window(partition, k - 3, grid)
     win = partition.window(grid, k) if k <= partition.J else 1.0 - _cum_lattice_window(partition, partition.J, grid)
-    ahat = np.fft.fft(table, axis=0)
     smooth = np.fft.ifft(ahat * low[:, None], axis=0)
     return Symbol.from_table(grid, smooth * win[None, :], a.order, name=f"{a.name}|band{k}")
+
+
+def _band_operators(a: Symbol, partition: LPPartition, grid: Grid):
+    """op(k, g) == apply(band_symbol(a, partition, k, grid), g, check=False) to the bit, for k >= 3.
+
+    op keeps the x-FFT of a's table, each band's multiplier values or column chunks per support of g, and the last band's table.
+    """
+    if a.dim != grid.dim:
+        raise ValueError(f"symbol dim {a.dim} != grid dim {grid.dim}")
+    ahat = cache(lambda: np.fft.fft(_symbol_table(a, grid), axis=0))
+
+    @lru_cache(maxsize=None if a.kind == "multiplier" else 1)  # an audit draws each band's probes together
+    def band(k):  # the multiplier values, or the table-backed band symbol
+        if a.kind == "multiplier":
+            return band_symbol(a, partition, k, grid).multiplier_values(grid)
+        return _sampled_band(a, partition, k, grid, ahat())
+
+    @cache
+    def columns(k, support):
+        return tuple(_columns(band(k), grid, np.unravel_index(np.frombuffer(support, dtype=np.intp), grid.shape)))
+
+    def op(k, g):
+        if a.kind == "multiplier":
+            return GridFunction.from_spectrum(grid, band(k) * g.spectrum)
+        return _contract(columns(k, np.flatnonzero(g.spectrum).tobytes()), g)
+
+    return op
 
 
 def decompose_paradiff(a: Symbol, partition: LPPartition, grid: Grid | None = None) -> ParadiffDecomposition:
@@ -453,12 +491,7 @@ def decompose_paradiff(a: Symbol, partition: LPPartition, grid: Grid | None = No
     def piece(u):
         return Symbol.from_table(grid, np.fft.ifft(ahat * u, axis=0), a.order, name=a.name)
 
-    bands = {}
-    for k in range(3, J + 2):
-        vk = xi_windows[k][None, :]
-        low = cums[k - 3][:, None]
-        tbl = np.fft.ifft(ahat * low, axis=0) * vk
-        bands[k] = Symbol.from_table(grid, tbl, a.order, name=f"{a.name}|band{k}")
+    bands = {k: _sampled_band(a, partition, k, grid, ahat) for k in range(3, J + 2)}
     return ParadiffDecomposition((piece(u1), piece(u2), piece(u3)), bands, partition, grid)
 
 
@@ -576,18 +609,20 @@ def audit_single_band(
     other cases maximize over a random probe family and are lower bounds.
     Expected slope: order + d |1/2 - 1/r|.
     """
+    exact = a.kind == "multiplier" and r == 2.0
+    if len(set(ks)) < 2 or min(ks) < 3 or not r > 0 or (trials < 1 and not exact):  # the exact path draws no probes
+        raise ValueError(f"need two or more distinct bands k >= 3, r > 0 and, for probes, trials >= 1; got ks={list(ks)}, r={r}, trials={trials}")
     grid = grid or Grid(1, 4096)
     partition = partition or LPPartition(J=max(ks) + 1)
     if 2.0 ** (max(ks) + 1) >= grid.nyquist:
         raise ValueError("top band exceeds the grid")
     d = grid.dim
-    exact = a.kind == "multiplier" and r == 2.0
+    op = _band_operators(a, partition, grid)
     ratios = []
     rows = []
     for k in ks:
-        b = band_symbol(a, partition, k, grid)
         if exact:
-            vals = np.abs(b.multiplier_values(grid))
+            vals = np.abs(band_symbol(a, partition, k, grid).multiplier_values(grid))
             radii = grid.freq_radii()
             mask = (radii > 2.0 ** (k - 1)) & (radii < 2.0 ** (k + 1))
             best = float(vals[mask].max())
@@ -597,7 +632,7 @@ def audit_single_band(
                 rng = np.random.default_rng([seed, k, trial])
                 kind = "exponential" if trial == 0 else ("signs" if trial % 2 else "random")
                 g = _annulus_input(grid, k, rng, kind)
-                num = apply(b, g, check=False).lp_norm(r)
+                num = op(k, g).lp_norm(r)
                 den = g.lp_norm(r)
                 if den > 0:
                     best = max(best, num / den)
@@ -641,39 +676,35 @@ def audit_local_energy(
     """
     grid = grid or Grid(1, 512)
     partition = partition or LPPartition(J=7)
+    pairs = [(mu, mu + off) for mu in mu_list for off in k_offsets]
+    pairs = [(mu, k) for mu, k in pairs if k >= 3 and 2.0 ** (k + 1) < grid.nyquist and k <= partition.J]
+    if trials < 1 or len({k - mu for mu, k in pairs}) < 2:
+        raise ValueError(f"need trials >= 1 and admissible (mu, k) at two or more offsets k - mu, got {trials}, {pairs}")
     m = a.order
     d = grid.dim
+    op = _band_operators(a, partition, grid)
     rows = []
-    sup_c = 0.0
-    xs, ys = [], []
-    for mu in mu_list:
-        for off in k_offsets:
-            k = mu + off
-            if k < 3 or 2.0 ** (k + 1) >= grid.nyquist or k > partition.J:
-                continue
-            b = band_symbol(a, partition, k, grid)
-            worst = 0.0
-            for trial in range(trials):
-                rng = np.random.default_rng([seed, mu, k, trial])
-                if trial == 0:
-                    g = _annulus_input(grid, k, rng, "exponential")
-                elif trial % 3 == 2:
-                    # broadband bounded input
-                    spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-                    spec[grid.freq_radii() > grid.nyquist / 2] = 0
-                    g = GridFunction.from_spectrum(grid, spec)
-                else:
-                    # in-band inputs saturate the bound; these drive the decay fit
-                    g = _annulus_input(grid, k, rng, "signs" if trial % 3 else "random")
-                sup = float(np.abs(g.samples).max())
-                out = apply(b, g, check=False)
-                local = np.sqrt(block_reduce(np.abs(out.samples) ** 2, mu))
-                worst = max(worst, float(local.max()) / (2.0 ** (k * (m + d / 2.0)) * sup))
-            rows.append({"mu": mu, "k": k, "ratio": worst})
-            xs.append(k - mu)
-            ys.append(worst)
-            sup_c = max(sup_c, worst / 2.0 ** (-eps * (k - mu)))
-    slope = _fit_slope(xs, ys)
+    for mu, k in pairs:
+        worst = 0.0
+        for trial in range(trials):
+            rng = np.random.default_rng([seed, mu, k, trial])
+            if trial == 0:
+                g = _annulus_input(grid, k, rng, "exponential")
+            elif trial % 3 == 2:
+                # broadband bounded input
+                spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+                spec[grid.freq_radii() > grid.nyquist / 2] = 0
+                g = GridFunction.from_spectrum(grid, spec)
+            else:
+                # in-band inputs saturate the bound; these drive the decay fit
+                g = _annulus_input(grid, k, rng, "signs" if trial % 3 else "random")
+            sup = float(np.abs(g.samples).max())
+            out = op(k, g)
+            local = np.sqrt(block_reduce(np.abs(out.samples) ** 2, mu))
+            worst = max(worst, float(local.max()) / (2.0 ** (k * (m + d / 2.0)) * sup))
+        rows.append({"mu": mu, "k": k, "ratio": worst})
+    sup_c = max(row["ratio"] / 2.0 ** (-eps * (row["k"] - row["mu"])) for row in rows)
+    slope = _fit_slope([row["k"] - row["mu"] for row in rows], [row["ratio"] for row in rows])
     eps_hat = -slope
     return AuditReport(
         name="local-energy-decay",

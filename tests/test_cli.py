@@ -172,6 +172,16 @@ def test_audit_rejects_trials_below_one_before_any_suite(tmp_path, capsys, suite
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("t", [0, -1])
+def test_audit_peetre_rejects_nonpositive_t_without_a_traceback(tmp_path, capsys, t):
+    cfg = tmp_path / "peetre.json"
+    cfg.write_text(json.dumps({"t": t}))
+    assert main(["audit", "--suite", "peetre", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "audit peetre raised: sigma and t must be positive\naudit: 1 of 1 suites raised: peetre\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_merging_and_errors(tmp_path, sample_input):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"space": "F", "s": 0.0, "p": 2.0, "q": 2.0, "input": str(sample_input)}))

@@ -2,8 +2,11 @@
 
 The digests were taken before the audit loops were folded into shared
 helpers; a change that is meant to leave every report unchanged must keep
-them.  Floating-point results can move with the numpy or scipy build, so the
-test skips on any other version pair than the one the digests come from.
+them.  ``SUITE_DIGESTS`` pins the single-band and local-energy suites at
+``--trials 3 --seed 5`` too, taken before each band symbol was quantized
+once per audit.  Floating-point results can move with the numpy or scipy
+build, so the tests skip on any other version pair than the one the digests
+come from.
 """
 
 import hashlib
@@ -64,6 +67,21 @@ DIGESTS = {
     "audit-vector-maximal-1.json": "7bbe88082b3a5d3d3185a16c006a2ca8334ce6b0754d2b2ec217622541b12cf9",
 }
 
+SUITE_DIGESTS = {
+    "single-band": {
+        "audit-single-band-0.csv": "770b87ac8ec72b16963b1fd42d860498347aeac526bcbd028b3e128fc93ec0c9",
+        "audit-single-band-0.json": "b6299371d556ed429fae2e03cb0d7a9c197206fe9b49d6de49bc91ff34fd868a",
+        "audit-single-band-1.csv": "041062b208acaa865ea9041bb1a3a442b3c16144c738c1ef4e0b8ffa772d4552",
+        "audit-single-band-1.json": "e58697a19dc10706126e50936bac5013f5da9ada3eb9eb7ae4c255808350adf1",
+        "audit-single-band-2.csv": "0e557c9f2bb1135eb57651179b5928123c869a270ad7a587e8229f23a6c91476",
+        "audit-single-band-2.json": "23245269fe1c5e0253b0ea5082c84d82f017d9fb17ecd6284c3bef25b16db279",
+    },
+    "local-energy": {
+        "audit-local-energy.csv": "8d32e34292e416b7c5552ada11bb880d600fec9e18fa651abae0665ae8a870ef",
+        "audit-local-energy.json": "4695d81b5a295b39a1c9429b189e9e096df3caf9b88ef65789f7d519b62e0475",
+    },
+}
+
 
 def test_audit_all_seed_0_reports_match_pinned_digests(tmp_path):
     versions = {"numpy": np.__version__, "scipy": scipy.__version__}
@@ -73,3 +91,13 @@ def test_audit_all_seed_0_reports_match_pinned_digests(tmp_path):
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
     assert sorted(written) == sorted(DIGESTS)
     assert {name for name in DIGESTS if written[name] != DIGESTS[name]} == set()
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_DIGESTS))
+def test_pseudo_suite_reports_at_trials_3_seed_5_match_pinned_digests(tmp_path, suite):
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if versions != GENERATED_WITH:
+        pytest.skip(f"digests were generated with {GENERATED_WITH}, running {versions}")
+    assert main(["audit", "--suite", suite, "--trials", "3", "--seed", "5", "--outdir", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert written == SUITE_DIGESTS[suite]
