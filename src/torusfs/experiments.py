@@ -534,38 +534,41 @@ def _train_table(grid: Grid, zeta: int) -> tuple:
     )
 
 
-def _stack_weight(n: int) -> np.ndarray:
-    """F^{0,2}_2 stack weight base^2 + sum_k mother(r / 2^k)^2 on the size-n lattice (FFT order).
+def _stack_octave(n: int) -> np.ndarray:
+    """F^{0,2}_2 stack weight base^2 + sum_k mother(r / 2^k)^2 on the finest whole octave n/4 <= r < n/2.
 
     The stack is dyadically self-similar above r = 1: on an octave
     2^m <= r < 2^(m+1) only bands m and m+1 (base and band 1 for m = 0)
     are nonzero, as u = cutoff(r / 2^m) and 1 - u, so the band-by-band sum
-    is exactly 0.0 + u*u + (1 - u)^2, a function of r / 2^m alone.  u is
-    evaluated once, on the finest whole octave n/4 <= r < n/2; every
-    coarser octave is a strided slice of that table, the Nyquist radius
-    n/2 takes its first entry and w(0) = base(0)^2.  The weight equals the
-    band-by-band sum to the bit.
+    is exactly 0.0 + u*u + (1 - u)^2, a function of r / 2^m alone.  Every
+    coarser octave is a strided slice of this table, the Nyquist radius
+    n/2 takes its first entry and w(0) = base(0)^2; so gathered, the weight
+    equals the band-by-band sum to the bit.
     """
-    lp = LPPartition(J=3)
     top = n // 4
-    u = lp.cutoff(np.arange(top, 2 * top) / top)
-    octave = u * u + (1.0 - u) ** 2
-    w = np.empty(n)
-    w[0] = lp.base(0.0) ** 2
-    s = 1
-    while s <= top:  # radii s..2s-1, positive frequencies
-        w[s : 2 * s] = octave[:: top // s]
-        s *= 2
-    w[n // 2] = octave[0]
-    w[n // 2 + 1 :] = w[n // 2 - 1 : 0 : -1]  # radius r at index n - r
-    return w
+    u = LPPartition(J=3).cutoff(np.arange(top, 2 * top) / top)
+    return u * u + (1.0 - u) ** 2
 
 
 def _f22_norm(spec: np.ndarray) -> float:
-    """F^{0,2}_2 norm of a spectrum on the unit torus, purely spectral (weight: :func:`_stack_weight`)."""
-    grid = Grid(1, len(spec))
-    weight = cached(grid, ("stack",), _stack_weight, grid.n)
-    return float(np.sqrt(np.sum(np.abs(spec) ** 2 * weight)))
+    """F^{0,2}_2 norm of a spectrum on the unit torus, purely spectral (weight: :func:`_stack_octave`).
+
+    |spec|^2 is weighted in place, octave by octave, by strided views of
+    the cached octave table: besides the spectrum a call holds one n-point
+    float array, and the cache n/4 points per lattice.
+    """
+    n = len(spec)
+    octave = cached(Grid(1, n), ("stack",), _stack_octave, n)
+    top = n // 4
+    terms = np.abs(spec) ** 2
+    terms[0] *= LPPartition(J=3).base(0.0) ** 2
+    terms[n // 2] *= octave[0]
+    s = 1
+    while s <= top:  # radii s..2s-1 at indices r and n - r
+        terms[s : 2 * s] *= octave[:: top // s]
+        terms[n - s : n - 2 * s : -1] *= octave[:: top // s]
+        s *= 2
+    return float(np.sqrt(np.sum(terms)))
 
 
 def _band_range(spec: np.ndarray) -> list:
@@ -589,15 +592,16 @@ def _band_pieces(spec: np.ndarray):
             yield j, idx, piece
 
 
-def _twiddles(n: int, M: int) -> tuple:
-    """Two factors whose broadcast product is w_n^(xi b) on the batch of rows b = 0..R-1, R = n / M.
+def _twiddles(n: int, M: int):
+    """``block(b0, b1)``: two factors whose broadcast product is w_n^(xi b) on rows b0..b1-1 of the (n / M, M) batch.
 
     w_n = e^(2 pi i / n) and xi is the frequency of slot s of an M-point
     fold (s - M in the upper half).  The longer axis, rows or slots, is
     split as x = x_lo + S x_hi with S about its square root, and each factor
     depends on one part only, so each holds about n / sqrt(max(R, M))
     entries.  Every argument is reduced exactly in integers,
-    (xi b mod n) / n, before its exp.
+    (xi b mod n) / n, before its exp.  ``block`` slices both factors along
+    their first axis; b0 must be a multiple of b1 - b0, a power of two.
     """
     R = n // M
 
@@ -605,15 +609,20 @@ def _twiddles(n: int, M: int) -> tuple:
         xi = np.where(s < M // 2, s, s - M)
         return np.exp(2j * np.pi * (np.multiply.outer(b, xi) % n / n))
 
-    if R > M:  # b = lo + S hi: rows (hi, lo), slots whole
+    if R > M:  # b = lo + S hi: rows (hi, lo), slots whole; a block is whole hi rows or part of one
         S = 2 ** (R.bit_length() // 2)
-        return roots(np.arange(0, R, S), np.arange(M))[:, None, :], roots(np.arange(S), np.arange(M))[None, :, :]
+        hi, lo = roots(np.arange(0, R, S), np.arange(M))[:, None, :], roots(np.arange(S), np.arange(M))
+        return lambda b0, b1: (hi[b0 // S : -(-b1 // S)], lo[b0 % S : (b1 - 1) % S + 1])
     S = 2 ** (M.bit_length() // 2)  # s = lo + S hi; S <= M/2, so hi alone sets the sign of xi
-    return roots(np.arange(R), np.arange(0, M, S))[:, :, None], roots(np.arange(R), np.arange(S))[:, None, :]
+    hi, lo = roots(np.arange(R), np.arange(0, M, S))[:, :, None], roots(np.arange(R), np.arange(S))[:, None, :]
+    return lambda b0, b1: (hi[b0:b1], lo[b0:b1])
+
+
+_BAND_BLOCK_POINTS = 2**15  # cap on the values of one row block of a band's batch (one row if longer)
 
 
 def _band_moduli(spec: np.ndarray):
-    """Yield (band, |band piece| on the lattice) for bands with mass, band-limited inverse FFTs.
+    """Yield (band, first row, |row block|) for bands with mass, band-limited inverse FFTs.
 
     Band j lies in |xi| < M/2 with M = min(2^(j+2), n), so its coefficients
     fold onto M points without aliasing.  Writing m = a R + b with R = n / M,
@@ -621,30 +630,34 @@ def _band_moduli(spec: np.ndarray):
         f[a R + b] = sum_xi (c_xi w_n^(xi b)) w_M^(xi a),
 
     so the n values are R inverse FFTs of M points, one per row b of an
-    (R, M) batch: a four-step FFT with its zero blocks pruned.  The moduli
-    come in that batch order, |f[a R + b]| at [b, a], in one buffer that
-    the next band overwrites.  For R = 1 this is the plain full transform.
+    (R, M) batch: a four-step FFT with its zero blocks pruned.  The batch
+    is evaluated in blocks of rows b0, b0 + 1, ... of at most
+    _BAND_BLOCK_POINTS values, or one row where a row is longer; the moduli
+    of a block, |f[a R + b]| at [b - b0, a], are in one buffer that the
+    next block overwrites.  So a band needs two block-sized buffers, not
+    n-point ones, except where R <= 2 and a row is n/2 or n points.  For
+    R = 1 this is the plain full transform.
     """
     import scipy.fft
 
     n = len(spec)
-    batch = np.empty(n, dtype=complex)
-    moduli = np.empty(n)
     for j, idx, piece in _band_pieces(spec):
         M = min(2 ** (j + 2), n)
         R = n // M
+        step = min(R, max(1, _BAND_BLOCK_POINTS // M))
+        folded = rows = vals = None  # the last band's buffers go before this band's are made
         folded = np.zeros(M, dtype=complex)
         folded[idx % M] = piece
-        rows = batch.reshape(R, M)
-        if R == 1:
-            rows[0] = folded
-        else:
-            hi, lo = _twiddles(n, M)
-            np.multiply(hi, lo, out=rows.reshape(np.broadcast_shapes(hi.shape, lo.shape)))
-            rows *= folded
-        vals = moduli.reshape(R, M)
-        np.abs(scipy.fft.ifft(rows, axis=-1, norm="forward", overwrite_x=True), out=vals)
-        yield j, vals
+        # for R = 1 the batch is the fold itself, transformed in place
+        rows, vals = np.empty((step, M), dtype=complex) if R > 1 else folded[None], np.empty((step, M))
+        twiddles = _twiddles(n, M) if R > 1 else None
+        for b0 in range(0, R, step):
+            if R > 1:
+                hi, lo = twiddles(b0, b0 + step)
+                np.multiply(hi, lo, out=rows.reshape(np.broadcast_shapes(hi.shape, lo.shape)))
+                rows *= folded
+            np.abs(scipy.fft.ifft(rows, axis=-1, norm="forward", overwrite_x=True), out=vals)
+            yield j, b0, vals
 
 
 def _regroup(src: np.ndarray, dst: np.ndarray, R: int, R_new: int) -> np.ndarray:
@@ -669,25 +682,30 @@ def _mixed_norm(spec: np.ndarray, p: float, t: float) -> float:
 
     Falls back to the spectral formula for p = t = 2; otherwise adds the
     band moduli (to the power t) in place into one stack, band by band
-    (only bands carrying mass).  The stack follows the batch order of the
-    band at hand and is regrouped when the next band's order differs; the
-    L^p norm does not depend on the order of the lattice points.
+    (only bands carrying mass) and row block by row block.  The stack
+    follows the batch order of the band at hand and is regrouped when the
+    next band's order differs; the L^p norm does not depend on the order
+    of the lattice points.  Besides the spectrum a call holds the stack,
+    its regroup spare (n points each) and the block buffers of
+    :func:`_band_moduli`.
     """
     if p == 2.0 and t == 2.0:
         return _f22_norm(spec)
-    stack, spare = np.zeros(len(spec)), np.empty(len(spec))
+    n = len(spec)
+    stack, spare = np.zeros(n), np.empty(n)
     rows = None  # the zero stack is in every batch order
-    for _, vals in _band_moduli(spec):
-        if rows is not None and vals.shape[0] < rows:  # bands ascend, so rows only shrink
-            stack, spare = _regroup(stack, spare, rows, vals.shape[0]), stack
-        rows = vals.shape[0]
-        vals = vals.reshape(-1)
+    for _, b0, vals in _band_moduli(spec):
+        R = n // vals.shape[1]
+        if rows is not None and R < rows:  # bands ascend, so rows only shrink
+            stack, spare = _regroup(stack, spare, rows, R), stack
+        rows = R
+        block = stack.reshape(R, -1)[b0 : b0 + len(vals)]
         if np.isinf(t):
-            np.maximum(stack, vals, out=stack)
+            np.maximum(block, vals, out=block)
             continue
         if t != 1.0:
             np.power(vals, t, out=vals)
-        stack += vals
+        block += vals
     if not np.isinf(t) and t != 1.0:
         np.power(stack, 1.0 / t, out=stack)
     if np.isinf(p):
@@ -724,6 +742,7 @@ def _fspace_draw(args) -> tuple:
     mult = multiplier_on_lattice(lac, grid_out, draw)
     mult[: n_out // 2] *= spec[: n_out // 2]  # the train truncated to the output lattice
     mult[n_out // 2 :] *= spec[-n_out // 2 :]
+    del spec  # the input spectrum is not needed for the output norm
     out_norm = _mixed_norm(mult, p, t)
     uniq = tuple(1 if len(actives[k]) == 1 else 0 for k in atoms.scales())
     return (draw, in_norm**p, out_norm**p, uniq)
@@ -863,8 +882,8 @@ def _bspace_draw(args) -> tuple:
 
     spec = radial_window(grid, ("lacunary", zc_pairs), lacunary, -1.0, np.inf)
     mult = multiplier_on_lattice(lac, grid, draw)
-    out_spec = mult * spec
-    norms = _band_lp_norms(out_spec)
+    mult *= spec
+    norms = _band_lp_norms(mult)
     return (draw, norms)
 
 

@@ -730,6 +730,10 @@ def audit_kernel_bounds(
     is recorded; its log2 slope in k should match order + d/2, and the
     adjoint-symbol support must stay inside {2^(k-2) <= |eta| <= 2^(k+2)}.
     """
+    if len(set(ks)) < 2 or min(ks) < 3 or 0 not in alphas:
+        raise ValueError(
+            f"the kernel audit needs two or more distinct bands k >= 3 and alpha 0, got ks={list(ks)}, alphas={list(alphas)}"
+        )
     grid = grid or Grid(1, 4096)
     partition = partition or LPPartition(J=max(ks) + 1)
     rows = []

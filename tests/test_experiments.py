@@ -1,7 +1,9 @@
+import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import torusfs
 from torusfs import experiments, littlewood_paley
 from torusfs.grid import GridFunction, make_grid
-from torusfs.littlewood_paley import build_partition, clear_tables, radial_window
+from torusfs.littlewood_paley import build_partition, cached, clear_tables
 from torusfs.experiments import (
     LacunaryConfig,
     RandomAtomConfig,
@@ -399,8 +401,8 @@ def test_stack_weight_matches_dense_construction(log_n):
         dense += lp.mother(r / 2.0**k) ** 2
     spec = np.random.default_rng(log_n).standard_normal(n) + 0j
     assert experiments._f22_norm(spec) == float(np.sqrt(np.sum(np.abs(spec) ** 2 * dense)))
-    # the weight _f22_norm left in the table cache (a hit never calls the profile)
-    assert np.array_equal(radial_window(make_grid(1, n), ("stack",), None, -1.0, np.inf), dense)
+    # the cache keeps one octave of the weight (a hit never calls the builder)
+    assert cached(make_grid(1, n), ("stack",), None).shape == (n // 4,)
 
 
 @pytest.mark.parametrize("log_n", [3, 4, 10, 16])
@@ -442,12 +444,24 @@ def test_mixed_norm_matches_dense_band_transforms(log_n, seed, p, t):
     assert abs(got - dense) <= 1e-12 * dense
 
 
+def _band_batches(spec):
+    """(band, its (R, M) batch of moduli) reassembled from the row blocks of _band_moduli."""
+    n = len(spec)
+    for j, blocks in itertools.groupby(experiments._band_moduli(spec), key=lambda item: item[0]):
+        M = min(2 ** (j + 2), n)
+        rows = []
+        for _, b0, vals in blocks:
+            assert b0 == sum(len(r) for r in rows)  # consecutive blocks of rows
+            assert vals.shape[1] == M and vals.size <= max(experiments._BAND_BLOCK_POINTS, M)
+            rows.append(vals.copy())  # the block buffer is overwritten by the next block
+        yield j, np.concatenate(rows)
+
+
 def _assert_band_moduli_match_dense(spec):
     import scipy.fft
 
     n = len(spec)
-    # lockstep: each band's moduli are in one buffer, valid until the next band
-    for (j, idx, piece), (band, vals) in zip(experiments._band_pieces(spec), experiments._band_moduli(spec), strict=True):
+    for (j, idx, piece), (band, vals) in zip(experiments._band_pieces(spec), _band_batches(spec), strict=True):
         assert band == j
         M = min(2 ** (j + 2), n)
         assert vals.shape == (n // M, M)  # |f[a R + b]| at [b, a]
@@ -462,6 +476,62 @@ def _assert_band_moduli_match_dense(spec):
 def test_band_moduli_match_dense_inverse_fft(log_n, seed):
     clear_tables()
     _assert_band_moduli_match_dense(_random_spectrum(2**log_n, seed))
+
+
+def _full_batch_mixed_norm(spec, p, t):
+    """_mixed_norm with each band's whole (R, M) batch transformed at once, as one n-point buffer."""
+    import scipy.fft
+
+    if p == t == 2.0:
+        return experiments._f22_norm(spec)
+    n = len(spec)
+    stack, spare = np.zeros(n), np.empty(n)
+    rows = None
+    for j, idx, piece in experiments._band_pieces(spec):
+        M = min(2 ** (j + 2), n)
+        R = n // M
+        folded = np.zeros(M, dtype=complex)
+        folded[idx % M] = piece
+        batch = np.empty((R, M), dtype=complex)
+        if R == 1:
+            batch[0] = folded
+        else:
+            hi, lo = experiments._twiddles(n, M)(0, R)
+            np.multiply(hi, lo, out=batch.reshape(np.broadcast_shapes(hi.shape, lo.shape)))
+            batch *= folded
+        vals = np.abs(scipy.fft.ifft(batch, axis=-1, norm="forward")).reshape(-1)
+        if rows is not None and R < rows:
+            stack, spare = experiments._regroup(stack, spare, rows, R), stack
+        rows = R
+        if np.isinf(t):
+            np.maximum(stack, vals, out=stack)
+            continue
+        if t != 1.0:
+            np.power(vals, t, out=vals)
+        stack += vals
+    if not np.isinf(t) and t != 1.0:
+        np.power(stack, 1.0 / t, out=stack)
+    if np.isinf(p):
+        return float(stack.max())
+    np.power(stack, p, out=stack)
+    return float(np.mean(stack) ** (1.0 / p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    log_n=st.integers(3, 16),
+    seed=st.integers(0, 2**16),
+    p=st.sampled_from([1.0, 1.5, 2.0, np.inf]),
+    t=st.sampled_from([1.0, 1.5, 2.0, np.inf]),
+    block_points=st.sampled_from([1, 16, 2**15]),
+)
+@example(log_n=16, seed=3, p=1.5, t=1.0, block_points=16)  # blocks of fewer rows than the twiddles' row split
+@example(log_n=12, seed=4, p=np.inf, t=1.5, block_points=1)  # blocks of one row
+def test_blocked_mixed_norm_equals_full_batch(log_n, seed, p, t, block_points):
+    clear_tables()
+    spec = _random_spectrum(2**log_n, seed)
+    with mock.patch.object(experiments, "_BAND_BLOCK_POINTS", block_points):
+        assert experiments._mixed_norm(spec, p, t) == _full_batch_mixed_norm(spec, p, t)
 
 
 @settings(max_examples=60, deadline=None)

@@ -230,6 +230,22 @@ def test_kernel_bound_slopes():
         assert rep.details["eta_leakage_max"] < 1e-10
 
 
+@pytest.mark.parametrize(
+    "ks, alphas",
+    [((3,), (0, 1, 2)), ((4, 4), (0, 1, 2)), ((5, 2), (0, 1, 2)), ((), (0, 1, 2)), ((3, 4, 5), (1, 2))],
+)
+def test_kernel_bounds_rejects_bad_bands_before_any_kernel(ks, alphas, monkeypatch):
+    import torusfs.pseudo as pseudo
+
+    built = []
+    for name in ("band_symbol", "band_kernel"):
+        real = getattr(pseudo, name)
+        monkeypatch.setattr(pseudo, name, lambda *a, real=real, name=name, **k: built.append(name) or real(*a, **k))
+    with pytest.raises(ValueError, match="kernel audit"):
+        audit_kernel_bounds(Symbol.bessel(0.0), build_partition(9), ks=ks, grid=make_grid(1, 512), alphas=alphas)
+    assert built == []
+
+
 def test_single_band_audit_multiplier_exact():
     grid = make_grid(1, 4096)
     part = build_partition(9)

@@ -4,9 +4,11 @@ The digests were taken before the audit loops were folded into shared
 helpers; a change that is meant to leave every report unchanged must keep
 them.  ``SUITE_DIGESTS`` pins the single-band and local-energy suites at
 ``--trials 3 --seed 5`` too, taken before each band symbol was quantized
-once per audit.  Floating-point results can move with the numpy or scipy
-build, so the tests skip on any other version pair than the one the digests
-come from.
+once per audit.  ``EXPERIMENT_DIGESTS`` pins the growth-experiment reports
+of small ``torusfs experiment`` runs, taken before the mixed-norm evaluator
+transformed each band in row blocks.  Floating-point results can move with
+the numpy or scipy build, so the tests skip on any other version pair than
+the one the digests come from.
 """
 
 import hashlib
@@ -101,3 +103,41 @@ def test_pseudo_suite_reports_at_trials_3_seed_5_match_pinned_digests(tmp_path, 
     assert main(["audit", "--suite", suite, "--trials", "3", "--seed", "5", "--outdir", str(tmp_path)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
     assert written == SUITE_DIGESTS[suite]
+
+_FSPACE = "e47bc271bef80b1a47c3726fa2c1fcfa0845ce3537272d1b456321325612b696"
+_FSPACE_P15 = "95b6eafd1b701b2d76fd561aef33b6958097f9bbd6da8c5b14cf34c90cd7e9bd"
+
+# the CSV does not depend on the worker count; the JSON echoes it in its effective config
+EXPERIMENT_DIGESTS = {
+    "fspace-growth --workers 1": {
+        "experiment-fspace-growth.csv": _FSPACE,
+        "experiment-fspace-growth.json": "16fd3a9201e50c535ca848ff7751b83e7195862d70495f238f6c60fc5ee58d82",
+    },
+    "fspace-growth --workers 2": {
+        "experiment-fspace-growth.csv": _FSPACE,
+        "experiment-fspace-growth.json": "8f8dcba81cae100600e63dbd52764b84eef1d64c82693761cd7075140107d967",
+    },
+    "fspace-growth --p 1.5 --q 1.5 --t 1.0 --workers 1": {
+        "experiment-fspace-growth.csv": _FSPACE_P15,
+        "experiment-fspace-growth.json": "9ed44ce74a609c28bfcacc8fd3381202a0c4cb910e0162be8e35bae50327b457",
+    },
+    "fspace-growth --p 1.5 --q 1.5 --t 1.0 --workers 2": {
+        "experiment-fspace-growth.csv": _FSPACE_P15,
+        "experiment-fspace-growth.json": "7619a598071a04cb32ccee468a62acff9c4788983882be395aaa317e0b93c4be",
+    },
+    "bspace-growth --workers 1": {
+        "experiment-bspace-growth.csv": "ccb7c5117065a739691dadc288d3aecc5d68c61d09ec1903d9c2b1a72de4ee90",
+        "experiment-bspace-growth.json": "574703326b0f1c5ddc4aad9ca44bd3831cc4b41d7e72aaada2ec45bc12ce53a4",
+    },
+}
+
+
+@pytest.mark.parametrize("args", sorted(EXPERIMENT_DIGESTS))
+def test_growth_experiment_reports_at_draws_4_L_3_6_match_pinned_digests(tmp_path, args):
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if versions != GENERATED_WITH:
+        pytest.skip(f"digests were generated with {GENERATED_WITH}, running {versions}")
+    name, *flags = args.split()
+    assert main(["experiment", "--name", name, *flags, "--draws", "4", "--L", "3..6", "--outdir", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert written == EXPERIMENT_DIGESTS[args]
