@@ -18,22 +18,25 @@ Performance notes: everything is assembled sparsely on the frequency
 lattice.  Every window (band, base, train window and the lacunary sum)
 comes from the radial tables of ``littlewood_paley``: each profile is
 evaluated once per radius 0..n/2 and gathered into FFT order, and band
-tables are (indices, values) pairs over their annulus only.  The
+tables are (indices, values) pairs over their annulus only (a d = 1
+train, being real, needs its window at positive radii only).  The
 squared-band stack weight of the F^{0,2}_2 norm is dyadically
 self-similar above r = 1 (on 2^m <= r < 2^(m+1) it is u*u + (1 - u)^2
 with u = cutoff(r / 2^m)), so its cutoff is evaluated on the finest
-octave only, n/4 points, and every coarser octave is a strided slice of
-that table; the weight is cached with the tables.  The table cache holds
-one top scale's lattices at a time: each draw empties it when its top
-scale differs from the last one seen, and it is emptied before a pool
-forks.  For p = q = 2 the mixed
-norm is evaluated purely spectrally; only genuinely mixed norms (e.g.
-t = 1 under an L^2 integral) go back to space, one band-limited inverse
+octave only, n/4 points, in slices of 2^16 radii, and every coarser
+octave is a strided slice of that table; the weight is cached with the
+tables.  The table cache holds one top scale's lattices at a time: each
+draw empties it when its top scale differs from the last one seen, and
+it is emptied before a pool forks.  For p = q = 2 the mixed norm is
+evaluated purely spectrally; only genuinely mixed norms (e.g. t = 1
+under an L^2 integral) go back to space, one band-limited inverse
 transform per band that carries spectrum: band j is folded onto 2^(j+2)
-points and transformed as a batch of short rows that fit in cache, and
-its moduli are added in place into one stack kept in the batch order.
-Atom-train phases at dyadic cube centres are read from a table of roots
-of unity at exactly reduced integer indices.
+points and transformed in place by ``numpy.fft`` (the pool imports no
+scipy, whose FFT module adds about 23 MB to every process) as a batch of
+short rows that fit in cache, and its moduli are added in place into one
+stack kept in the batch order.  Atom-train phases at dyadic cube centres
+are read from a table of roots of unity at exactly reduced integer
+indices.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .grid import Grid, GridFunction
-from .littlewood_paley import LPPartition, cached, clear_tables, radial_table, radial_window, scatter
+from .littlewood_paley import LPPartition, _profile_1d, cached, clear_tables, radial_table, radial_window, scatter
 from .pseudo import Symbol
 from .report import AuditReport, _drift, _fit_slope
 
@@ -326,16 +329,13 @@ def atom_train_spectrum(cfg: RandomAtomConfig, grid: Grid, draw: int = 0):
         roots = _dyadic_roots(z)
         if cfg.d == 1:  # kept fast path: criterion 8's draws sum phases over 2^22-point lattices
             # The train is real, so its spectrum at -r is the conjugate of that
-            # at r: only the positive radii a..a+m-1, the first m table entries,
-            # are evaluated.  A last Nyquist entry holds the window at
-            # 2^(zeta+5), where it vanishes.
-            idx, prof = _train_table(grid, z)
-            m, n = len(idx) // 2, grid.n
-            r, a = idx[:m], int(idx[0])
+            # at r: only the positive radii a..a+m-1 are evaluated.
+            r, prof = _train_half(grid, z)
+            m, n, a = len(r), grid.n, int(r[0])
             part = roots[(2 * int(active[0]) + 1) * r & (len(roots) - 1)]
             for cube in active[1:]:
                 part += roots[(2 * int(cube) + 1) * r & (len(roots) - 1)]
-            part *= prof[:m]
+            part *= prof
             part *= cfg.amplitude(k) * 2.0**-z
             spec[a : a + m] += part
             spec[n - a - m + 1 : n - a + 1] += np.conj(part[::-1])
@@ -526,12 +526,24 @@ def _dyadic_roots(z: int) -> np.ndarray:
     return np.exp(-2j * np.pi * (np.arange(N) / N))
 
 
+def _train_window(zeta: int) -> tuple:
+    """(profile, lo, hi) of the scale-zeta train window, reproducing_profile(|xi| / 2^zeta)."""
+    return (lambda r: reproducing_profile(r / 2.0**zeta)), 2.0**zeta, 2.0 ** (zeta + 5)
+
+
 def _train_table(grid: Grid, zeta: int) -> tuple:
-    """Radial table of the scale-zeta train window, reproducing_profile(|xi| / 2^zeta)."""
-    return radial_table(
-        grid, ("train", zeta), lambda r: reproducing_profile(r / 2.0**zeta),
-        2.0**zeta, 2.0 ** (zeta + 5),
-    )
+    """Radial table of the scale-zeta train window."""
+    return radial_table(grid, ("train", zeta), *_train_window(zeta))
+
+
+def _train_half(grid: Grid, zeta: int) -> tuple:
+    """(radii, values) of a d = 1 :func:`_train_table` at its positive radii below n/2 only, cached on their own."""
+
+    def build():
+        a, vals, m, _ = _profile_1d(grid, *_train_window(zeta))
+        return np.arange(a, a + m), vals[:m]
+
+    return cached(grid, ("train+", zeta), build)
 
 
 def _stack_octave(n: int) -> np.ndarray:
@@ -543,11 +555,15 @@ def _stack_octave(n: int) -> np.ndarray:
     is exactly 0.0 + u*u + (1 - u)^2, a function of r / 2^m alone.  Every
     coarser octave is a strided slice of this table, the Nyquist radius
     n/2 takes its first entry and w(0) = base(0)^2; so gathered, the weight
-    equals the band-by-band sum to the bit.
+    equals the band-by-band sum to the bit.  Filled 2^16 radii at a time,
+    a build holds little besides the table.
     """
-    top = n // 4
-    u = LPPartition(J=3).cutoff(np.arange(top, 2 * top) / top)
-    return u * u + (1.0 - u) ** 2
+    top, lp = n // 4, LPPartition(J=3)
+    out = np.empty(top)
+    for s in range(0, top, 2**16):
+        u = lp.cutoff(np.arange(top + s, top + min(top, s + 2**16)) / top)
+        out[s : s + len(u)] = u * u + (1.0 - u) ** 2
+    return out
 
 
 def _f22_norm(spec: np.ndarray) -> float:
@@ -572,13 +588,16 @@ def _f22_norm(spec: np.ndarray) -> float:
 
 
 def _band_range(spec: np.ndarray) -> list:
-    """Bands j whose annulus (2^(j-1), 2^(j+1)) holds spectrum mass off the origin."""
+    """Bands j >= 1 whose annulus (2^(j-1), 2^(j+1)) may hold spectrum mass off the origin.
+
+    From the first that holds the smallest radius (or band 1) to the last that holds the largest.
+    """
     nz = np.flatnonzero(spec != 0)
     r = np.minimum(nz, len(spec) - nz)  # |xi| at FFT-order indices
     r = r[r > 0]
     if r.size == 0:
         return []
-    return list(range(max(1, int(np.floor(np.log2(r.min())))), int(np.ceil(np.log2(r.max()))) + 2))
+    return list(range(max(1, int(np.floor(np.log2(r.min())))), int(np.ceil(np.log2(r.max()))) + 1))
 
 
 def _band_pieces(spec: np.ndarray):
@@ -636,10 +655,9 @@ def _band_moduli(spec: np.ndarray):
     of a block, |f[a R + b]| at [b - b0, a], are in one buffer that the
     next block overwrites.  So a band needs two block-sized buffers, not
     n-point ones, except where R <= 2 and a row is n/2 or n points.  For
-    R = 1 this is the plain full transform.
+    R = 1 this is the plain full transform.  Rows are transformed in place
+    by ``numpy.fft``, so the growth-experiment pool imports no scipy.
     """
-    import scipy.fft
-
     n = len(spec)
     for j, idx, piece in _band_pieces(spec):
         M = min(2 ** (j + 2), n)
@@ -656,7 +674,7 @@ def _band_moduli(spec: np.ndarray):
                 hi, lo = twiddles(b0, b0 + step)
                 np.multiply(hi, lo, out=rows.reshape(np.broadcast_shapes(hi.shape, lo.shape)))
                 rows *= folded
-            np.abs(scipy.fft.ifft(rows, axis=-1, norm="forward", overwrite_x=True), out=vals)
+            np.abs(np.fft.ifft(rows, axis=-1, norm="forward", out=rows), out=vals)
             yield j, b0, vals
 
 
@@ -761,7 +779,7 @@ def _run_tasks(worker, batches, workers: int) -> list:
     if workers <= 1:
         flat = [worker(task) for task in tasks]
     else:
-        import scipy.fft  # noqa: F401  (loaded before the fork, so that workers inherit it)
+        import numpy.fft  # noqa: F401  (numpy loads it lazily: loaded before the fork, so that workers inherit it)
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             flat = list(pool.map(worker, tasks, chunksize=1))
@@ -772,12 +790,12 @@ def _run_tasks(worker, batches, workers: int) -> list:
     return out
 
 
-def _check_sweep(lac: LacunaryConfig, atoms: RandomAtomConfig, L_list, draws: int, **exponents) -> list:
+def _check_sweep(lac: LacunaryConfig, atoms: RandomAtomConfig, L_list, draws: int, workers: int, **exponents) -> list:
     """The top scales to sweep (default k0..L), once the sweep is known to be well posed.
 
     Both configurations must be one-dimensional and share the scale map,
     every exponent must be > 0 (inf allowed), a moment needs at least one
-    draw and a growth slope two top scales.
+    draw and a growth slope two top scales, and the pool at least one worker.
     """
     if lac.d != 1 or atoms.d != 1:
         raise ValueError("growth experiments are one-dimensional")
@@ -788,6 +806,8 @@ def _check_sweep(lac: LacunaryConfig, atoms: RandomAtomConfig, L_list, draws: in
             raise ValueError(f"{name} must be > 0, got {value}")
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     L_list = list(range(lac.k0, lac.L + 1)) if L_list is None else list(L_list)
     if len(L_list) < 2:
         raise ValueError(f"L_list needs at least two top scales to fit a growth slope, got {L_list}")
@@ -815,7 +835,7 @@ def fspace_growth_experiment(
     output exponent about 1/t.  Also records the empirical floor of the
     single-active-cube probability per scale.
     """
-    L_list = _check_sweep(lac, atoms, L_list, draws, p=p, q=q, t=t)
+    L_list = _check_sweep(lac, atoms, L_list, draws, workers, p=p, q=q, t=t)
     rows = []
     draw_rows = []
     counts, in_vals, out_vals = [], [], []
@@ -913,7 +933,7 @@ def bspace_growth_experiment(
     """
     if p != 2.0:
         raise ValueError("the band-norm experiment is pinned to p = 2 (spectral evaluation)")
-    L_list = _check_sweep(lac, atoms, L_list, draws, p=p, q=q, t=t)
+    L_list = _check_sweep(lac, atoms, L_list, draws, workers, p=p, q=q, t=t)
     designed_eps = 1.0 / t - 1.0 / q
     rows = []
     draw_rows = []

@@ -219,6 +219,8 @@ def test_experiment_command_and_determinism(tmp_path):
         (["--p", "0"], "p must be > 0, got 0.0"),
         (["--q", "0"], "q must be > 0, got 0.0"),
         (["--t", "0"], "t must be > 0, got 0.0"),
+        (["--workers", "0"], "workers must be >= 1, got 0"),
+        (["--workers", "-3"], "workers must be >= 1, got -3"),
         (["--L", "8..3"], "--L must be an ascending range lo..hi or list a,b,c of integers, got '8..3'"),
         (["--L", "5,4"], "--L must be an ascending range lo..hi or list a,b,c of integers, got '5,4'"),
     ],

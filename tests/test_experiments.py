@@ -330,6 +330,46 @@ def test_growth_experiments_check_configurations_before_any_work(experiment, lac
         experiment(lac, atoms, 2.0, 2.0, 1.0, draws=2)
 
 
+@pytest.mark.parametrize("experiment", [fspace_growth_experiment, bspace_growth_experiment])
+@pytest.mark.parametrize("workers", [0, -3])
+def test_growth_experiments_reject_workers_below_one_before_any_work(experiment, workers, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the worker count was checked")
+
+    monkeypatch.setattr(experiments, "_tables_for", no_work)
+    monkeypatch.setattr(experiments, "_run_tasks", no_work)
+    lac, atoms = LacunaryConfig(L=4, spacing=2), RandomAtomConfig(L=4, spacing=2)
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        experiment(lac, atoms, 2.0, 2.0, 1.0, draws=2, workers=workers)
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+
+class NoScipy:  # inherited by forked pool workers: a scipy import anywhere fails the run
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} imported by a growth experiment")
+
+sys.meta_path.insert(0, NoScipy())
+from torusfs.experiments import LacunaryConfig, RandomAtomConfig, {name}
+lac, atoms = LacunaryConfig(L=4, spacing=2, seed=3), RandomAtomConfig(L=4, spacing=2, seed=3)
+{name}(lac, atoms, 2.0, 2.0, 1.0, draws=1, L_list=[3, 4], workers={workers})
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["fspace_growth_experiment", "bspace_growth_experiment"])
+def test_growth_experiments_import_no_scipy(name, workers):
+    # scipy.fft would cost every pool process about 23 MB of resident memory
+    env = dict(os.environ, PYTHONPATH=str(Path(torusfs.__file__).parents[1]))
+    script = _NO_SCIPY_SCRIPT.format(name=name, workers=workers)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_bspace_input_drift_measures_the_calibrated_input(monkeypatch):
     lac = LacunaryConfig(L=5, spacing=2, m=0.0, seed=3)
     atoms = RandomAtomConfig(L=5, spacing=2, p=2.0, seed=3)
@@ -405,6 +445,19 @@ def test_stack_weight_matches_dense_construction(log_n):
     assert cached(make_grid(1, n), ("stack",), None).shape == (n // 4,)
 
 
+def test_stack_weight_build_holds_little_besides_its_table():
+    # the octave table of criterion 8's input lattice is 8 MiB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        experiments._stack_octave(2**22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * 2**20
+
+
 @pytest.mark.parametrize("log_n", [3, 4, 10, 16])
 def test_stack_weight_evaluates_one_octave(log_n, monkeypatch):
     n = 2**log_n
@@ -471,6 +524,25 @@ def _assert_band_moduli_match_dense(spec):
         assert np.max(np.abs(vals.T.ravel() - dense)) <= 1e-13 * dense.max()
 
 
+@settings(max_examples=60, deadline=None)
+@given(log_n=st.integers(3, 16), data=st.data())
+def test_band_range_spans_the_bands_that_hold_the_spectrum(log_n, data):
+    n = 2**log_n
+    support = data.draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=8))
+    spec = np.zeros(n, dtype=complex)
+    spec[support] = 1.0
+    bands = experiments._band_range(spec)
+    r = np.minimum(support, n - np.array(support))
+    holds = lambda j, radius: 2.0 ** (j - 1) < radius < 2.0 ** (j + 1)
+    if r.max() == 1:  # only the base window (|xi| < 2) holds radius 1
+        assert bands == []
+        return
+    assert bands == list(range(bands[0], bands[-1] + 1))
+    assert holds(bands[-1], r.max()) and not holds(bands[-1] + 1, r.max())
+    assert holds(bands[0], r.min()) or bands[0] == 1 == r.min()  # the range starts at band 1
+    assert bands[-1] <= log_n - 1  # below the partition's top band J = log2 n
+
+
 @settings(max_examples=40, deadline=None)
 @given(log_n=st.integers(3, 16), seed=st.integers(0, 2**16))
 def test_band_moduli_match_dense_inverse_fft(log_n, seed):
@@ -480,8 +552,6 @@ def test_band_moduli_match_dense_inverse_fft(log_n, seed):
 
 def _full_batch_mixed_norm(spec, p, t):
     """_mixed_norm with each band's whole (R, M) batch transformed at once, as one n-point buffer."""
-    import scipy.fft
-
     if p == t == 2.0:
         return experiments._f22_norm(spec)
     n = len(spec)
@@ -499,7 +569,7 @@ def _full_batch_mixed_norm(spec, p, t):
             hi, lo = experiments._twiddles(n, M)(0, R)
             np.multiply(hi, lo, out=batch.reshape(np.broadcast_shapes(hi.shape, lo.shape)))
             batch *= folded
-        vals = np.abs(scipy.fft.ifft(batch, axis=-1, norm="forward")).reshape(-1)
+        vals = np.abs(np.fft.ifft(batch, axis=-1, norm="forward")).reshape(-1)
         if rows is not None and R < rows:
             stack, spare = experiments._regroup(stack, spare, rows, R), stack
         rows = R
@@ -587,6 +657,18 @@ def test_dyadic_root_phases_match_exp(z, data):
     table = roots[np.outer(2 * a + 1, xi) % len(roots)]
     direct = np.exp(-2j * np.pi * np.outer((a + 0.5) * 2.0**-z, xi))
     assert np.max(np.abs(table - direct)) <= 1e-12
+
+
+@pytest.mark.parametrize("log_n, zeta", [(6, 0), (9, 3), (12, 6), (12, 4)])
+def test_train_half_is_the_first_half_of_the_train_table(log_n, zeta):
+    grid = make_grid(1, 2**log_n)
+    clear_tables()
+    idx, vals = experiments._train_table(grid, zeta)
+    radii, half = experiments._train_half(grid, zeta)
+    m = len(radii)
+    assert np.array_equal(radii, idx[:m]) and np.array_equal(half, vals[:m])
+    assert np.array_equal(np.sort(idx[m:]), np.sort(np.concatenate([grid.n - radii, idx[2 * m :]])))
+    assert radii[-1] < grid.n // 2
 
 
 @pytest.mark.parametrize("d, L", [(1, 4), (2, 3)])
