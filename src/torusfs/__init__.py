@@ -37,7 +37,6 @@ from .experiments import (
     oscillatory_multiplier,
     rademacher_multiplier,
     random_atom_train,
-    reproducing_window,
 )
 from .report import AuditReport
 

@@ -36,7 +36,7 @@ scipy, whose FFT module adds about 23 MB to every process) as a batch of
 short rows that fit in cache, and its moduli are added in place into one
 stack kept in the batch order.  Atom-train phases at dyadic cube centres
 are read from a table of roots of unity at exactly reduced integer
-indices.
+indices, summed over one period in the radius and tiled.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import itertools
 import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -63,13 +63,10 @@ __all__ = [
     "rademacher_multiplier",
     "multiplier_on_lattice",
     "reproducing_profile",
-    "reproducing_window",
     "random_atom_train",
     "atom_train_spectrum",
     "lacunary_coeffs",
     "lacunary_test_function",
-    "atom_train_image",
-    "image_shell_leakage",
     "khintchine_constants",
     "khintchine_audit",
     "fspace_growth_experiment",
@@ -300,11 +297,6 @@ def reproducing_profile(r):
     return lp.partial_sum(4, r) - lp.partial_sum(0, r)
 
 
-def reproducing_window(grid: Grid) -> GridFunction:
-    """The window itself, sampled on a grid (transform taken on the lattice)."""
-    return GridFunction.from_spectrum(grid, scatter(grid, _train_table(grid, 0)).astype(complex))
-
-
 def atom_train_spectrum(cfg: RandomAtomConfig, grid: Grid, draw: int = 0):
     """Spectrum of the random window train, plus the active cubes per scale.
 
@@ -329,16 +321,20 @@ def atom_train_spectrum(cfg: RandomAtomConfig, grid: Grid, draw: int = 0):
         roots = _dyadic_roots(z)
         if cfg.d == 1:  # kept fast path: criterion 8's draws sum phases over 2^22-point lattices
             # The train is real, so its spectrum at -r is the conjugate of that
-            # at r: only the positive radii a..a+m-1 are evaluated.
+            # at r: only the positive radii a..a+m-1 are evaluated.  A phase
+            # index (2 * cube + 1) * r mod N repeats with period N in r, so the
+            # phases are summed over the first N radii (all that r holds) and tiled.
             r, prof = _train_half(grid, z)
-            m, n, a = len(r), grid.n, int(r[0])
+            m, n, a = len(prof), grid.n, int(r[0])
             part = roots[(2 * int(active[0]) + 1) * r & (len(roots) - 1)]
             for cube in active[1:]:
                 part += roots[(2 * int(cube) + 1) * r & (len(roots) - 1)]
+            part = np.resize(part, m)
             part *= prof
             part *= cfg.amplitude(k) * 2.0**-z
             spec[a : a + m] += part
-            spec[n - a - m + 1 : n - a + 1] += np.conj(part[::-1])
+            np.conj(part, out=part)
+            spec[n - a - m + 1 : n - a + 1] += part[::-1]
             continue
         prof = cfg.amplitude(k) * 2.0 ** (-z * cfg.d) * scatter(grid, _train_table(grid, z))
         xi = _lattice_freqs(grid.n, np.arange(grid.n))
@@ -380,56 +376,6 @@ def lacunary_test_function(
     for k in cfg.scales():
         spec += coeffs[k] * scatter(grid, _train_table(grid, cfg.zeta(k)))
     return GridFunction.from_spectrum(grid, spec)
-
-
-def atom_train_image(lac: LacunaryConfig, atoms: RandomAtomConfig, grid: Grid, draw: int = 0) -> GridFunction:
-    """Direct spatial synthesis of the multiplier image of a window train.
-
-    Evaluates, active cube by active cube,
-    amplitude * 2^{zeta (m - d)} * phi(x - c_Q) * sum_n sign_n e^{2 pi i <x - c_Q, n>},
-    with the spatial window phi sampled from its transform.  Exact when the
-    shell spacing is at least 3 (the dilated reproducing window then equals
-    1 on its own shell and vanishes on every other); used as the
-    evaluation path independent of the spectral application.
-    """
-    if lac.spacing < 3 or atoms.spacing != lac.spacing:
-        raise ValueError("the closed-form image requires matched shell spacing >= 3")
-    if grid.dim != 1 or lac.d != 1:
-        raise ValueError("kept one-dimensional")
-    mother = radial_table(grid, ("mother", 1), LPPartition(J=3).mother, 0.5, 2.0)
-    phi = GridFunction.from_spectrum(grid, scatter(grid, mother).astype(complex)).samples
-    x = grid.axis_coords()
-    signs = rademacher_signs(lac, draw)
-    _, actives = atom_train_spectrum(atoms, grid, draw)
-    out = np.zeros(grid.shape, dtype=complex)
-    for k in lac.scales():
-        z = lac.zeta(k)
-        lo, hi = lac.shell_bounds(k)
-        pos, neg = signs[k]
-        shell = np.arange(lo, hi)
-        amp = atoms.amplitude(k) * 2.0 ** (z * (lac.m - 1))
-        side = 2.0**-z
-        for flat in actives[k]:
-            center = (flat + 0.5) * side
-            y = x - center
-            osc = (pos[None, :] * np.exp(2j * np.pi * np.outer(y, shell))).sum(axis=1)
-            osc += (neg[None, :] * np.exp(-2j * np.pi * np.outer(y, shell))).sum(axis=1)
-            shift = int(round(center * grid.n))
-            out += amp * np.roll(phi, shift) * osc
-    return GridFunction.from_samples(grid, out)
-
-
-def image_shell_leakage(u: GridFunction, lac: LacunaryConfig) -> float:
-    """Relative spectrum mass outside the (window-widened) shells."""
-    radii = u.grid.freq_radii()
-    inside = np.zeros(u.grid.shape, dtype=bool)
-    for k in lac.scales():
-        lo, hi = lac.shell_bounds(k)
-        inside |= (radii >= lo - 2) & (radii <= hi + 2)
-    total = float(np.abs(u.spectrum).max())
-    if total == 0:
-        return 0.0
-    return float(np.abs(u.spectrum[~inside]).max() / total)
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +483,15 @@ def _train_table(grid: Grid, zeta: int) -> tuple:
 
 
 def _train_half(grid: Grid, zeta: int) -> tuple:
-    """(radii, values) of a d = 1 :func:`_train_table` at its positive radii below n/2 only, cached on their own."""
+    """(radii, values) of a d = 1 :func:`_train_table` at its m positive radii below n/2 only, cached on their own.
+
+    Only the first 2^(zeta+1) radii are kept, at most m: one period of the
+    phases at the scale-zeta cube centres (see :func:`_dyadic_roots`).
+    """
 
     def build():
         a, vals, m, _ = _profile_1d(grid, *_train_window(zeta))
-        return np.arange(a, a + m), vals[:m]
+        return np.arange(a, a + min(m, 2 ** (zeta + 1))), vals[:m]
 
     return cached(grid, ("train+", zeta), build)
 
@@ -747,9 +697,7 @@ def _lq(norms: dict, q: float) -> float:
 
 
 def _fspace_draw(args) -> tuple:
-    lac_args, atom_args, p, q, t, draw = args
-    lac = LacunaryConfig(**lac_args)
-    atoms = RandomAtomConfig(**atom_args)
+    lac, atoms, p, q, t, draw = args
     _tables_for(atoms.L)
     n_in = 2 ** (atoms.zeta(atoms.L) + 6)
     grid_in = Grid(1, n_in)
@@ -836,12 +784,14 @@ def fspace_growth_experiment(
     single-active-cube probability per scale.
     """
     L_list = _check_sweep(lac, atoms, L_list, draws, workers, p=p, q=q, t=t)
+    if np.isinf(p):  # each draw returns its norms to the power p for the p-th moment
+        raise ValueError(f"p must be finite for the p-th moment, got {p}")
     rows = []
     draw_rows = []
     counts, in_vals, out_vals = [], [], []
     floor_min = np.inf
     batches = [
-        (L, [(asdict(replace(lac, L=L)), asdict(replace(atoms, L=L)), p, q, t, draw) for draw in range(draws)])
+        (L, [(replace(lac, L=L), replace(atoms, L=L), p, q, t, draw) for draw in range(draws)])
         for L in L_list
     ]
     for L, results in zip(L_list, _run_tasks(_fspace_draw, batches, workers)):
@@ -887,8 +837,7 @@ def fspace_growth_experiment(
 
 
 def _bspace_draw(args) -> tuple:
-    lac_args, zc_pairs, t, draw = args
-    lac = LacunaryConfig(**lac_args)
+    lac, zc_pairs, t, draw = args
     _tables_for(lac.L)
     grid = Grid(1, 2 ** (lac.zeta(lac.L) + 5))
 
@@ -950,7 +899,7 @@ def bspace_growth_experiment(
         raw_ins.append(raw_in)
         in_vals.append(_lq(_band_lp_norms(lacunary_test_function(atoms_L, grid_in, coeffs=coeffs).spectrum), q))
         zc_pairs = tuple((atoms_L.zeta(k), coeffs[k]) for k in atoms_L.scales())
-        batches.append((L, [(asdict(lac_L), zc_pairs, t, draw) for draw in range(draws)]))
+        batches.append((L, [(lac_L, zc_pairs, t, draw) for draw in range(draws)]))
     for L, raw_in, in_norm, results in zip(L_list, raw_ins, in_vals, _run_tasks(_bspace_draw, batches, workers)):
         moments = []
         for draw, norms in results:

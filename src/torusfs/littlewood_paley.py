@@ -55,13 +55,16 @@ def _profile_1d(grid: Grid, profile, lo: float, hi: float) -> tuple:
     """(a, vals, m, z): the profile at the 1-D lattice radii a, a+1, ... on lo < r < hi.
 
     The first m radii have a negative twin, except the first when it is 0
-    (z = 1); a last radius past those m is the Nyquist radius n/2.
+    (z = 1); a last radius past those m is the Nyquist radius n/2.  The
+    profile is evaluated 2^16 radii at a time, so its temporaries stay
+    small beside the values.
     """
     n, half = grid.n, grid.n // 2
     step = 1.0 / (n * (grid.period / n))  # numpy's fftfreq spacing: radii match freq_radii() to the bit
     a, b = _first_above(lo, step, half), _first_above(np.nextafter(hi, -np.inf), step, half)
-    radii = np.arange(a, b + (lo < half * step <= hi))  # the Nyquist radius n/2 follows b = n/2
-    return a, profile(radii * step), b - a, int(a == 0)
+    radii = np.arange(a, b + (lo < half * step <= hi)) * step  # the Nyquist radius n/2 follows b = n/2
+    vals = np.concatenate([profile(radii[s : s + 2**16]) for s in range(0, max(len(radii), 1), 2**16)])
+    return a, vals, b - a, int(a == 0)
 
 
 def _build_table(grid: Grid, profile, lo: float, hi: float) -> tuple:
@@ -195,19 +198,6 @@ class LPPartition:
         if k == 0:
             return self.base(r)
         return self.mother(np.asarray(r, dtype=float) / 2.0**k)
-
-    def wide_profile(self, k: int, r):
-        """Three-band window profile(k-1) + profile(k) + profile(k+1).
-
-        The band k+1 window is evaluable past J by dilation.  Used to build
-        inputs that are reproduced by band k exactly.
-        """
-        if k < 1:
-            raise ValueError("wide_profile needs k >= 1")
-        r = np.asarray(r, dtype=float)
-        total = self.profile(k - 1, r) + self.profile(k, r)
-        total = total + self.mother(r / 2.0 ** (k + 1))
-        return total
 
     def partial_sum(self, K: int, r):
         """base + sum_{k=1..K} profile(k); equals cutoff(r / 2^K) exactly."""

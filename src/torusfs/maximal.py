@@ -22,7 +22,7 @@ import numpy as np
 
 from .dyadic import block_reduce, expand_blocks, grid_depth
 from .grid import Grid, GridFunction
-from .report import AuditReport, _drift, _fit_slope
+from .report import AuditReport, _best, _drift, _fit_slope
 
 __all__ = [
     "PeetreParams",
@@ -234,20 +234,30 @@ def _safe_ratio_max(num: np.ndarray, den: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _best(trials, ratio) -> float:
-    """Largest ratio(trial) over the trials, from 0.0; a None ratio (zero denominator) is skipped."""
-    best = 0.0
-    for r in map(ratio, trials):
-        if r is not None:
-            best = max(best, r)
-    return best
-
-
 def _check_top_band(k: int, d: int, ns) -> None:
     """Raise before any work unless band k (spectrum in |xi| <= 2^(k+1)) is below every grid's Nyquist frequency."""
     for n in ns:
         if 2.0 ** (k + 1) >= Grid(d, n).nyquist:
             raise ValueError(f"band {k} needs a finer grid than n={n}")
+
+
+def _per_grid_audit(name, params, d, ns, trials, ratio, tol, details) -> AuditReport:
+    """Best ratio(grid, trial) per grid size n, judged by the drift of those maxima under grid doubling.
+
+    Passed means a drift of at most tol; an infinite maximum makes the drift
+    inf or nan, which fails.
+    """
+    per_n = [_best(range(trials), partial(ratio, Grid(d, n))) for n in ns]
+    drift = _drift(per_n)
+    return AuditReport(
+        name=name,
+        params=params,
+        constant=max(per_n),
+        table=[{"n": n, "constant": c} for n, c in zip(ns, per_n)],
+        passed=drift <= tol,
+        tolerance=tol,
+        details={"doubling_drift": drift, **details},
+    )
 
 
 def _doubling_audit(name, params, d, ns, xs, key, trials, ratio, details) -> AuditReport:
@@ -466,17 +476,9 @@ def audit_sharp_domination(
         num = vector_sharp(majorized, q, n_cut, k0=1).samples.real
         return _safe_ratio_max(num, vector_sharp(fam, q, n_cut, k0=1).samples.real)
 
-    per_n = [_best(range(trials), partial(ratio, Grid(d, n))) for n in ns]
-    drift = _drift(per_n)
-    return AuditReport(
-        name="sharp-tail-domination",
-        params={"q": q, "sigma": sigma, "J": J, "n_cut": n_cut, "trials": trials, "d": d, "ns": list(ns), "seed": seed},
-        constant=max(per_n),
-        table=[{"n": n, "constant": c} for n, c in zip(ns, per_n)],
-        passed=np.isfinite(max(per_n)) and drift <= 0.25,
-        tolerance=0.25,
-        details={"doubling_drift": drift, "sigma_critical": 2 * d / q, "outside_hypothesis": sigma <= 2 * d / q},
-    )
+    params = {"q": q, "sigma": sigma, "J": J, "n_cut": n_cut, "trials": trials, "d": d, "ns": list(ns), "seed": seed}
+    details = {"sigma_critical": 2 * d / q, "outside_hypothesis": sigma <= 2 * d / q}
+    return _per_grid_audit("sharp-tail-domination", params, d, ns, trials, ratio, 0.25, details)
 
 
 def audit_fefferman_stein(
@@ -511,16 +513,7 @@ def audit_fefferman_stein(
             den = sharp.lp_norm(p)
             return m.lp_norm(p) / den if den > 0 else None
 
-        per_n = [_best(range(trials), partial(ratio, Grid(d, n))) for n in ns]
-        drift = _drift(per_n)
-        return AuditReport(
-            name="fefferman-stein-dyadic-sharp",
-            params={"p": p, "trials": trials, "d": d, "ns": list(ns), "seed": seed, "band_radius": band_radius},
-            constant=max(per_n),
-            table=[{"n": n, "constant": c} for n, c in zip(ns, per_n)],
-            passed=drift <= _DRIFT_TOL,
-            tolerance=_DRIFT_TOL,
-            details={"doubling_drift": drift},
-        )
+        params = {"p": p, "trials": trials, "d": d, "ns": list(ns), "seed": seed, "band_radius": band_radius}
+        return _per_grid_audit("fefferman-stein-dyadic-sharp", params, d, ns, trials, ratio, _DRIFT_TOL, {})
 
     return [report(p) for p in ps]

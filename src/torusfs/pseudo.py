@@ -21,14 +21,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
 from .dyadic import block_reduce
 from .grid import Grid, GridFunction
 from .littlewood_paley import LPPartition, radial_table, scatter
-from .report import AuditReport, _fit_slope
+from .report import AuditReport, _best, _fit_slope
 
 __all__ = [
     "Symbol",
@@ -38,8 +38,6 @@ __all__ = [
     "seminorm",
     "band_symbol",
     "decompose_paradiff",
-    "save_symbol_csv",
-    "load_symbol_csv",
     "band_kernel",
     "audit_single_band",
     "audit_local_energy",
@@ -120,33 +118,6 @@ class Symbol:
         if self.kind != "multiplier":
             raise ValueError("not a multiplier symbol")
         return np.asarray(self.fn(None, grid.freqs()), dtype=complex)
-
-
-def save_symbol_csv(a: Symbol, path) -> None:
-    """Dump a one-dimensional symbol table as CSV rows (x_index, xi_index, re, im).
-
-    xi_index is the FFT-order index into the frequency lattice of the
-    symbol's grid.
-    """
-    grid = a.grid
-    if grid is None:
-        raise ValueError("only table-backed symbols can be dumped")
-    with open(path, "w") as fh:
-        fh.write("x_index,xi_index,re,im\n")
-        for i in range(grid.n):
-            for j in range(grid.n):
-                v = a.table[i, j]
-                fh.write(f"{i},{j},{float(v.real)!r},{float(v.imag)!r}\n")
-
-
-def load_symbol_csv(path, grid: Grid, order: float, name: str = "") -> Symbol:
-    """Load a grid-sampled symbol from (x_index, xi_index, re, im) rows."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    table = np.zeros(grid.shape * 2, dtype=complex)
-    ix = data[:, 0].astype(int)
-    ik = data[:, 1].astype(int)
-    table[ix, ik] = data[:, 2] + 1j * data[:, 3]
-    return Symbol.from_table(grid, table, order, name=name or "csv")
 
 
 def _symbol_table(a: Symbol, grid: Grid) -> np.ndarray:
@@ -357,7 +328,7 @@ def _cum_lattice_window(partition: LPPartition, K: int, grid: Grid) -> np.ndarra
 
 @dataclass
 class ParadiffDecomposition:
-    """Three interaction pieces and the low-high band symbols.
+    """Three interaction pieces (high-low, diagonal, low-high) and the low-high band symbols.
 
     bands maps k -> symbol for the piece whose frequency window is band k
     and whose x-spectrum is cut below 2^(k-3).  Index J+1, when present,
@@ -367,20 +338,6 @@ class ParadiffDecomposition:
 
     pieces: tuple
     bands: dict
-    partition: LPPartition
-    grid: Grid
-
-    @property
-    def high_low(self) -> Symbol:
-        return self.pieces[0]
-
-    @property
-    def diagonal(self) -> Symbol:
-        return self.pieces[1]
-
-    @property
-    def low_high(self) -> Symbol:
-        return self.pieces[2]
 
 
 def band_symbol(a: Symbol, partition: LPPartition, k: int, grid: Grid) -> Symbol:
@@ -462,7 +419,7 @@ def decompose_paradiff(a: Symbol, partition: LPPartition, grid: Grid | None = No
         a2 = windowed(mult, 0, 2)
         a3 = windowed(mult, 3, J + 1)
         bands = {k: band_symbol(a, partition, k, grid or Grid(a.dim, 8)) for k in range(3, J + 2)}
-        return ParadiffDecomposition((zero, a2, a3), bands, partition, grid)
+        return ParadiffDecomposition((zero, a2, a3), bands)
 
     if grid is None:
         raise ValueError("x-dependent symbols need an evaluation grid")
@@ -492,7 +449,7 @@ def decompose_paradiff(a: Symbol, partition: LPPartition, grid: Grid | None = No
         return Symbol.from_table(grid, np.fft.ifft(ahat * u, axis=0), a.order, name=a.name)
 
     bands = {k: _sampled_band(a, partition, k, grid, ahat) for k in range(3, J + 2)}
-    return ParadiffDecomposition((piece(u1), piece(u2), piece(u3)), bands, partition, grid)
+    return ParadiffDecomposition((piece(u1), piece(u2), piece(u3)), bands)
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +575,14 @@ def audit_single_band(
         raise ValueError("top band exceeds the grid")
     d = grid.dim
     op = _band_operators(a, partition, grid)
+
+    def ratio(k, trial):
+        rng = np.random.default_rng([seed, k, trial])
+        kind = "exponential" if trial == 0 else ("signs" if trial % 2 else "random")
+        g = _annulus_input(grid, k, rng, kind)
+        den = g.lp_norm(r)
+        return op(k, g).lp_norm(r) / den if den > 0 else None
+
     ratios = []
     rows = []
     for k in ks:
@@ -627,15 +592,7 @@ def audit_single_band(
             mask = (radii > 2.0 ** (k - 1)) & (radii < 2.0 ** (k + 1))
             best = float(vals[mask].max())
         else:
-            best = 0.0
-            for trial in range(trials):
-                rng = np.random.default_rng([seed, k, trial])
-                kind = "exponential" if trial == 0 else ("signs" if trial % 2 else "random")
-                g = _annulus_input(grid, k, rng, kind)
-                num = op(k, g).lp_norm(r)
-                den = g.lp_norm(r)
-                if den > 0:
-                    best = max(best, num / den)
+            best = _best(range(trials), partial(ratio, k))
         ratios.append(best)
         rows.append({"band": k, "ratio": best})
     slope = _fit_slope(ks, ratios)
@@ -683,26 +640,25 @@ def audit_local_energy(
     m = a.order
     d = grid.dim
     op = _band_operators(a, partition, grid)
-    rows = []
-    for mu, k in pairs:
-        worst = 0.0
-        for trial in range(trials):
-            rng = np.random.default_rng([seed, mu, k, trial])
-            if trial == 0:
-                g = _annulus_input(grid, k, rng, "exponential")
-            elif trial % 3 == 2:
-                # broadband bounded input
-                spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-                spec[grid.freq_radii() > grid.nyquist / 2] = 0
-                g = GridFunction.from_spectrum(grid, spec)
-            else:
-                # in-band inputs saturate the bound; these drive the decay fit
-                g = _annulus_input(grid, k, rng, "signs" if trial % 3 else "random")
-            sup = float(np.abs(g.samples).max())
-            out = op(k, g)
-            local = np.sqrt(block_reduce(np.abs(out.samples) ** 2, mu))
-            worst = max(worst, float(local.max()) / (2.0 ** (k * (m + d / 2.0)) * sup))
-        rows.append({"mu": mu, "k": k, "ratio": worst})
+
+    def ratio(mu, k, trial):
+        rng = np.random.default_rng([seed, mu, k, trial])
+        if trial == 0:
+            g = _annulus_input(grid, k, rng, "exponential")
+        elif trial % 3 == 2:
+            # broadband bounded input
+            spec = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+            spec[grid.freq_radii() > grid.nyquist / 2] = 0
+            g = GridFunction.from_spectrum(grid, spec)
+        else:
+            # in-band inputs saturate the bound; these drive the decay fit
+            g = _annulus_input(grid, k, rng, "signs" if trial % 3 else "random")
+        sup = float(np.abs(g.samples).max())
+        out = op(k, g)
+        local = np.sqrt(block_reduce(np.abs(out.samples) ** 2, mu))
+        return float(local.max()) / (2.0 ** (k * (m + d / 2.0)) * sup)
+
+    rows = [{"mu": mu, "k": k, "ratio": _best(range(trials), partial(ratio, mu, k))} for mu, k in pairs]
     sup_c = max(row["ratio"] / 2.0 ** (-eps * (row["k"] - row["mu"])) for row in rows)
     slope = _fit_slope([row["k"] - row["mu"] for row in rows], [row["ratio"] for row in rows])
     eps_hat = -slope

@@ -104,6 +104,15 @@ def _drift(values) -> float:
     return float(v.max() / v.min() - 1.0) if v.min() > 0 else float("inf")
 
 
+def _best(trials, ratio) -> float:
+    """Largest ratio(trial) over the trials, from 0.0; a None ratio (zero denominator) is skipped."""
+    best = 0.0
+    for r in map(ratio, trials):
+        if r is not None:
+            best = max(best, r)
+    return best
+
+
 def write_table_csv(rows: list, path) -> None:
     """Write a list of dict rows with a stable, sorted column order."""
     rows = [_plain(r) for r in rows]

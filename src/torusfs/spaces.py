@@ -239,14 +239,6 @@ class CoeffField:
             rows.append(row)
         return rows
 
-    @classmethod
-    def from_rows(cls, dim: int, rows) -> "CoeffField":
-        out = cls(dim)
-        for r in rows:
-            off = tuple(int(r[f"offset{i}"]) for i in range(dim))
-            out[(int(r["k"]), off)] = float(r["re"]) + 1j * float(r["im"])
-        return out
-
 
 def sequence_norm(b: CoeffField, sp: SpaceParams) -> float:
     """L^p norm of g^{s,q}(b); exact piecewise-constant quadrature."""

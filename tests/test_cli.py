@@ -223,10 +223,14 @@ def test_experiment_command_and_determinism(tmp_path):
         (["--workers", "-3"], "workers must be >= 1, got -3"),
         (["--L", "8..3"], "--L must be an ascending range lo..hi or list a,b,c of integers, got '8..3'"),
         (["--L", "5,4"], "--L must be an ascending range lo..hi or list a,b,c of integers, got '5,4'"),
+        (["--p", "inf"], {"fspace-growth": "p must be finite for the p-th moment, got inf",
+                          "bspace-growth": "the band-norm experiment is pinned to p = 2 (spectral evaluation)"}),
     ],
 )
 @pytest.mark.parametrize("name", ["fspace-growth", "bspace-growth"])
 def test_experiment_rejects_bad_inputs_before_any_work(tmp_path, capsys, name, args, message):
+    if isinstance(message, dict):  # a check that only one experiment makes
+        message = message[name]
     assert main(["experiment", "--name", name, "--L", "3..4", "--draws", "2", *args, "--outdir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not any(tmp_path.iterdir())

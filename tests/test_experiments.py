@@ -11,16 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import torusfs
 from torusfs import experiments, littlewood_paley
-from torusfs.grid import GridFunction, make_grid
-from torusfs.littlewood_paley import build_partition, cached, clear_tables
+from torusfs.grid import Grid, GridFunction, make_grid
+from torusfs.littlewood_paley import LPPartition, build_partition, cached, clear_tables, radial_table, scatter
 from torusfs.experiments import (
     LacunaryConfig,
     RandomAtomConfig,
-    atom_train_image,
     atom_train_spectrum,
     bspace_growth_experiment,
     fspace_growth_experiment,
-    image_shell_leakage,
     khintchine_audit,
     khintchine_constants,
     lacunary_coeffs,
@@ -31,7 +29,6 @@ from torusfs.experiments import (
     rademacher_signs,
     random_atom_train,
     reproducing_profile,
-    reproducing_window,
 )
 from torusfs.pseudo import seminorm
 
@@ -111,9 +108,6 @@ def test_reproducing_window_profile():
     assert reproducing_profile(0.5) == 0.0
     assert reproducing_profile(16.0) == 1.0
     assert reproducing_profile(33.0) == 0.0
-    g = make_grid(1, 128)
-    w = reproducing_window(g)
-    assert abs(w.spectrum[4] - 1.0) < 1e-14
 
 
 def test_reproducing_identity_on_shells():
@@ -235,6 +229,56 @@ def test_khintchine_monte_carlo():
         assert not rep.params["exhaustive"]
 
 
+def atom_train_image(lac: LacunaryConfig, atoms: RandomAtomConfig, grid: Grid, draw: int = 0) -> GridFunction:
+    """Direct spatial synthesis of the multiplier image of a window train.
+
+    Evaluates, active cube by active cube,
+    amplitude * 2^{zeta (m - d)} * phi(x - c_Q) * sum_n sign_n e^{2 pi i <x - c_Q, n>},
+    with the spatial window phi sampled from its transform.  Exact when the
+    shell spacing is at least 3 (the dilated reproducing window then equals
+    1 on its own shell and vanishes on every other); the closed-form
+    oracle that the spectral application is checked against.
+    """
+    if lac.spacing < 3 or atoms.spacing != lac.spacing:
+        raise ValueError("the closed-form image requires matched shell spacing >= 3")
+    if grid.dim != 1 or lac.d != 1:
+        raise ValueError("kept one-dimensional")
+    mother = radial_table(grid, ("mother", 1), LPPartition(J=3).mother, 0.5, 2.0)
+    phi = GridFunction.from_spectrum(grid, scatter(grid, mother).astype(complex)).samples
+    x = grid.axis_coords()
+    signs = rademacher_signs(lac, draw)
+    _, actives = atom_train_spectrum(atoms, grid, draw)
+    out = np.zeros(grid.shape, dtype=complex)
+    for k in lac.scales():
+        z = lac.zeta(k)
+        lo, hi = lac.shell_bounds(k)
+        pos, neg = signs[k]
+        shell = np.arange(lo, hi)
+        amp = atoms.amplitude(k) * 2.0 ** (z * (lac.m - 1))
+        side = 2.0**-z
+        for flat in actives[k]:
+            center = (flat + 0.5) * side
+            y = x - center
+            osc = (pos[None, :] * np.exp(2j * np.pi * np.outer(y, shell))).sum(axis=1)
+            osc += (neg[None, :] * np.exp(-2j * np.pi * np.outer(y, shell))).sum(axis=1)
+            shift = int(round(center * grid.n))
+            out += amp * np.roll(phi, shift) * osc
+    return GridFunction.from_samples(grid, out)
+
+
+def image_shell_leakage(u: GridFunction, lac: LacunaryConfig) -> float:
+    """Relative spectrum mass outside the (window-widened) shells."""
+    radii = u.grid.freq_radii()
+    inside = np.zeros(u.grid.shape, dtype=bool)
+    for k in lac.scales():
+        lo, hi = lac.shell_bounds(k)
+        inside |= (radii >= lo - 2) & (radii <= hi + 2)
+    total = float(np.abs(u.spectrum).max())
+    if total == 0:
+        return 0.0
+    return float(np.abs(u.spectrum[~inside]).max() / total)
+
+
 def test_image_formula_and_hygiene():
     lac = LacunaryConfig(L=2, spacing=3, m=0.0, seed=4, k0=1)
     atoms = RandomAtomConfig(L=2, spacing=3, p=2.0, seed=4, k0=1)
@@ -328,6 +372,18 @@ def test_growth_experiments_check_configurations_before_any_work(experiment, lac
     monkeypatch.setattr(experiments, "_run_tasks", no_work)
     with pytest.raises(ValueError, match=match):
         experiment(lac, atoms, 2.0, 2.0, 1.0, draws=2)
+
+
+def test_fspace_growth_rejects_infinite_p_before_any_work(monkeypatch):
+    # each draw's norms enter the p-th moment as norm**p, which is inf or 0 at p = inf
+    def no_work(*args):
+        raise AssertionError("work started before p was checked")
+
+    monkeypatch.setattr(experiments, "_tables_for", no_work)
+    monkeypatch.setattr(experiments, "_run_tasks", no_work)
+    lac, atoms = LacunaryConfig(L=4, spacing=2), RandomAtomConfig(L=4, spacing=2, p=np.inf)
+    with pytest.raises(ValueError, match="p must be finite for the p-th moment, got inf"):
+        fspace_growth_experiment(lac, atoms, np.inf, 2.0, 1.0, draws=2)
 
 
 @pytest.mark.parametrize("experiment", [fspace_growth_experiment, bspace_growth_experiment])
@@ -659,16 +715,17 @@ def test_dyadic_root_phases_match_exp(z, data):
     assert np.max(np.abs(table - direct)) <= 1e-12
 
 
-@pytest.mark.parametrize("log_n, zeta", [(6, 0), (9, 3), (12, 6), (12, 4)])
+@pytest.mark.parametrize("log_n, zeta", [(6, 0), (9, 3), (12, 6), (12, 4), (5, 3)])
 def test_train_half_is_the_first_half_of_the_train_table(log_n, zeta):
     grid = make_grid(1, 2**log_n)
     clear_tables()
     idx, vals = experiments._train_table(grid, zeta)
     radii, half = experiments._train_half(grid, zeta)
-    m = len(radii)
-    assert np.array_equal(radii, idx[:m]) and np.array_equal(half, vals[:m])
-    assert np.array_equal(np.sort(idx[m:]), np.sort(np.concatenate([grid.n - radii, idx[2 * m :]])))
-    assert radii[-1] < grid.n // 2
+    m = len(half)
+    assert np.array_equal(half, vals[:m]) and np.array_equal(radii, idx[: len(radii)])
+    assert len(radii) == min(m, 2 ** (zeta + 1))  # one period of the cube-centre phases
+    assert np.array_equal(np.sort(idx[m:]), np.sort(np.concatenate([grid.n - idx[:m], idx[2 * m :]])))
+    assert idx[m - 1] < grid.n // 2
 
 
 @pytest.mark.parametrize("d, L", [(1, 4), (2, 3)])
@@ -689,6 +746,26 @@ def test_atom_train_phases_match_exp_reference(d, L):
                 ref += prof * np.exp(-2j * np.pi * sum(c * f for c, f in zip(centre, freqs)))
         assert np.max(np.abs(spec - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1.0)
     assert cubes >= 3
+
+
+def test_dense_atom_train_holds_one_half_band_beside_what_it_keeps():
+    # criterion 8's train at L = 7, draw 2: three cubes active at the top scale z = 14,
+    # whose window covers the m = 2^19 - 2^14 positive radii 2^14 .. 2^19 - 1
+    import tracemalloc
+
+    cfg = RandomAtomConfig(L=7, spacing=2, p=2.0, seed=20250810)
+    grid = make_grid(1, 2 ** (cfg.zeta(7) + 6))
+    clear_tables()  # cold: the window tables are built inside the call
+    tracemalloc.start()
+    try:
+        _, actives = atom_train_spectrum(cfg, grid, 2)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        clear_tables()
+    assert len(actives[7]) == 3
+    half_band = 16 * (2**19 - 2**14)  # one complex value per positive radius of the top window
+    assert peak - kept <= 2 * half_band
 
 
 _BAND_NORMS = """

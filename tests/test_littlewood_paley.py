@@ -158,13 +158,6 @@ def test_check_partition_detects_zeroed_profile():
     assert rep.constant > 0.9
 
 
-def test_wide_profile_covers_band():
-    P = build_partition(6)
-    # the three-band window equals 1 across the middle band's annulus
-    r = np.linspace(2.0**3, 2.0**5, 500)
-    assert np.max(np.abs(P.wide_profile(4, r) - 1.0)) < 1e-12
-
-
 def test_profiles_csv_export(tmp_path):
     path = tmp_path / "profiles.csv"
     export_profiles_csv(build_partition(4), path, num=64)

@@ -133,7 +133,7 @@ def test_paradiff_multiplier():
     dec = decompose_paradiff(a, P6)
     xi = np.linspace(-30.0, 30.0, 101)
     zeros = np.zeros(101)
-    assert np.max(np.abs(dec.high_low.fn((zeros,), (xi,)))) == 0.0
+    assert np.max(np.abs(dec.pieces[0].fn((zeros,), (xi,)))) == 0.0
     b4 = dec.bands[4]
     got = b4.fn((zeros,), (xi,))
     expected = (1 + xi**2) ** -0.25 * P6.profile(4, np.abs(xi))
@@ -150,7 +150,7 @@ def test_paradiff_modulated_symbol_band_membership():
     grid = make_grid(1, 256)
     part = build_partition(6)
     dec = decompose_paradiff(a, part, grid)
-    table = np.fft.fft(dec.low_high.table, axis=0)
+    table = np.fft.fft(dec.pieces[2].table, axis=0)
     # low-high piece: x-spectrum must be cut below the band
     for k, b in dec.bands.items():
         bt = np.fft.fft(b.table, axis=0)
@@ -323,18 +323,3 @@ def test_boundedness_region_table():
     assert boundedness_region(0.4, 1.0, 0.1, 1.0, 2.0, 1.0, d=1) == "F3"
     with pytest.raises(ValueError):
         boundedness_region(0.0, 0, 0, -1.0, 2.0, 2.0)
-
-
-def test_symbol_csv_round_trip(tmp_path):
-    from torusfs.pseudo import load_symbol_csv, save_symbol_csv
-
-    grid = make_grid(1, 16)
-    rng = np.random.default_rng(2)
-    tbl = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-    a = Symbol.from_table(grid, tbl, -0.5, "t")
-    path = tmp_path / "sym.csv"
-    save_symbol_csv(a, path)
-    back = load_symbol_csv(path, grid, -0.5)
-    assert np.max(np.abs(back.table - tbl)) == 0.0
-    f = random_function(grid, 1)
-    assert np.max(np.abs(apply(back, f, check=False).samples - apply(a, f, check=False).samples)) == 0.0
