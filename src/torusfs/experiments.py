@@ -30,11 +30,14 @@ draw empties it when its top scale differs from the last one seen, and
 it is emptied before a pool forks.  For p = q = 2 the mixed norm is
 evaluated purely spectrally; only genuinely mixed norms (e.g. t = 1
 under an L^2 integral) go back to space, one band-limited inverse
-transform per band that carries spectrum: band j is folded onto 2^(j+2)
-points and transformed in place by ``numpy.fft`` (the pool imports no
-scipy, whose FFT module adds about 23 MB to every process) as a batch of
-short rows that fit in cache, and its moduli are added in place into one
-stack kept in the batch order.  Atom-train phases at dyadic cube centres
+transform per band that carries spectrum: band j is folded straight
+from the spectrum onto 2^(j+2) points and transformed in place by
+``numpy.fft`` (the pool imports no scipy, whose FFT module adds about
+23 MB to every process) as a batch of short rows that fit in cache, and
+its moduli are added in place into one stack kept in the batch order,
+regrouped into a fresh array between bands; a call holds one stack and
+one band's buffers at a time.  A draw writes its output spectrum only
+where the multiplier can be nonzero.  Atom-train phases at dyadic cube centres
 are read from a table of roots of unity at exactly reduced integer
 indices, summed over one period in the radius and tiled.
 """
@@ -526,7 +529,8 @@ def _f22_norm(spec: np.ndarray) -> float:
     n = len(spec)
     octave = cached(Grid(1, n), ("stack",), _stack_octave, n)
     top = n // 4
-    terms = np.abs(spec) ** 2
+    terms = np.abs(spec)
+    terms *= terms  # numpy's ** 2 is this square: the same bits without a second n-point array
     terms[0] *= LPPartition(J=3).base(0.0) ** 2
     terms[n // 2] *= octave[0]
     s = 1
@@ -541,24 +545,24 @@ def _band_range(spec: np.ndarray) -> list:
     """Bands j >= 1 whose annulus (2^(j-1), 2^(j+1)) may hold spectrum mass off the origin.
 
     From the first that holds the smallest radius (or band 1) to the last that holds the largest.
+    The radii with mass are read from two boolean half-lattices, as radius r
+    sits at indices r and n - r: no n-point index array is made.
     """
-    nz = np.flatnonzero(spec != 0)
-    r = np.minimum(nz, len(spec) - nz)  # |xi| at FFT-order indices
-    r = r[r > 0]
-    if r.size == 0:
+    h = len(spec) // 2
+    mass = spec[1 : h + 1] != 0  # radius i + 1 at [i]: indices 1..n/2
+    mass[:-1] |= spec[:h:-1] != 0  # indices n-1 down to n/2+1, radii 1..n/2-1
+    if not mass.any():
         return []
-    return list(range(max(1, int(np.floor(np.log2(r.min())))), int(np.ceil(np.log2(r.max()))) + 1))
+    r_min, r_max = int(np.argmax(mass)) + 1, h - int(np.argmax(mass[::-1]))
+    return list(range(max(1, int(np.floor(np.log2(r_min)))), int(np.ceil(np.log2(r_max))) + 1))
 
 
-def _band_pieces(spec: np.ndarray):
-    """Yield (band, indices, windowed slice values) for bands with mass, in ascending order."""
+def _band_windows(spec: np.ndarray):
+    """Yield (band, indices, window values) of band 0 and the bands of :func:`_band_range`, ascending."""
     grid = Grid(1, len(spec))
     lp = LPPartition(J=int(np.log2(grid.n)))
     for j in [0] + _band_range(spec):
-        idx, w = lp.table(grid, j)
-        piece = spec[idx] * w
-        if np.any(piece):
-            yield j, idx, piece
+        yield (j, *lp.table(grid, j))
 
 
 def _twiddles(n: int, M: int):
@@ -591,7 +595,7 @@ _BAND_BLOCK_POINTS = 2**15  # cap on the values of one row block of a band's bat
 
 
 def _band_moduli(spec: np.ndarray):
-    """Yield (band, first row, |row block|) for bands with mass, band-limited inverse FFTs.
+    """Yield (band, rows R, row blocks) for bands with mass, ascending: band-limited inverse FFTs.
 
     Band j lies in |xi| < M/2 with M = min(2^(j+2), n), so its coefficients
     fold onto M points without aliasing.  Writing m = a R + b with R = n / M,
@@ -599,33 +603,46 @@ def _band_moduli(spec: np.ndarray):
         f[a R + b] = sum_xi (c_xi w_n^(xi b)) w_M^(xi a),
 
     so the n values are R inverse FFTs of M points, one per row b of an
-    (R, M) batch: a four-step FFT with its zero blocks pruned.  The batch
-    is evaluated in blocks of rows b0, b0 + 1, ... of at most
+    (R, M) batch: a four-step FFT with its zero blocks pruned.  The windowed
+    band is folded straight from the spectrum, and a band whose fold is zero
+    is skipped (the scatter is injective).  The row blocks are made by
+    :func:`_band_blocks` only once they are iterated, so a caller can act
+    between bands while it holds nothing of the next band but its fold.
+    """
+    n = len(spec)
+    for j, idx, w in _band_windows(spec):
+        M = min(2 ** (j + 2), n)
+        folded = np.zeros(M, dtype=complex)
+        folded[idx % M] = spec[idx] * w
+        if np.any(folded):
+            yield j, n // M, _band_blocks(folded, n)
+        del folded  # before the next band's fold is made
+
+
+def _band_blocks(folded: np.ndarray, n: int):
+    """Yield (first row b0, |row block|) over the (n / M, M) batch of an M-point fold (see :func:`_band_moduli`).
+
+    The batch is evaluated in blocks of rows b0, b0 + 1, ... of at most
     _BAND_BLOCK_POINTS values, or one row where a row is longer; the moduli
     of a block, |f[a R + b]| at [b - b0, a], are in one buffer that the
     next block overwrites.  So a band needs two block-sized buffers, not
     n-point ones, except where R <= 2 and a row is n/2 or n points.  For
-    R = 1 this is the plain full transform.  Rows are transformed in place
-    by ``numpy.fft``, so the growth-experiment pool imports no scipy.
+    R = 1 this is the plain full transform, of the fold itself in place.
+    Rows are transformed in place by ``numpy.fft``, so the growth-experiment
+    pool imports no scipy.
     """
-    n = len(spec)
-    for j, idx, piece in _band_pieces(spec):
-        M = min(2 ** (j + 2), n)
-        R = n // M
-        step = min(R, max(1, _BAND_BLOCK_POINTS // M))
-        folded = rows = vals = None  # the last band's buffers go before this band's are made
-        folded = np.zeros(M, dtype=complex)
-        folded[idx % M] = piece
-        # for R = 1 the batch is the fold itself, transformed in place
-        rows, vals = np.empty((step, M), dtype=complex) if R > 1 else folded[None], np.empty((step, M))
-        twiddles = _twiddles(n, M) if R > 1 else None
-        for b0 in range(0, R, step):
-            if R > 1:
-                hi, lo = twiddles(b0, b0 + step)
-                np.multiply(hi, lo, out=rows.reshape(np.broadcast_shapes(hi.shape, lo.shape)))
-                rows *= folded
-            np.abs(np.fft.ifft(rows, axis=-1, norm="forward", out=rows), out=vals)
-            yield j, b0, vals
+    M = len(folded)
+    R = n // M
+    step = min(R, max(1, _BAND_BLOCK_POINTS // M))
+    rows, vals = np.empty((step, M), dtype=complex) if R > 1 else folded[None], np.empty((step, M))
+    twiddles = _twiddles(n, M) if R > 1 else None
+    for b0 in range(0, R, step):
+        if R > 1:
+            hi, lo = twiddles(b0, b0 + step)
+            np.multiply(hi, lo, out=rows.reshape(np.broadcast_shapes(hi.shape, lo.shape)))
+            rows *= folded
+        np.abs(np.fft.ifft(rows, axis=-1, norm="forward", out=rows), out=vals)
+        yield b0, vals
 
 
 def _regroup(src: np.ndarray, dst: np.ndarray, R: int, R_new: int) -> np.ndarray:
@@ -645,35 +662,45 @@ def _regroup(src: np.ndarray, dst: np.ndarray, R: int, R_new: int) -> np.ndarray
     return dst
 
 
-def _mixed_norm(spec: np.ndarray, p: float, t: float) -> float:
-    """L^p norm of the pointwise l^t band stack for a d = 1 spectrum.
+def _add_band(batch: np.ndarray, blocks, t: float) -> None:
+    """Add a band's row blocks of moduli, to the power t, into the stack in its (R, n / R) batch order.
 
-    Falls back to the spectral formula for p = t = 2; otherwise adds the
-    band moduli (to the power t) in place into one stack, band by band
-    (only bands carrying mass) and row block by row block.  The stack
-    follows the batch order of the band at hand and is regrouped when the
-    next band's order differs; the L^p norm does not depend on the order
-    of the lattice points.  Besides the spectrum a call holds the stack,
-    its regroup spare (n points each) and the block buffers of
-    :func:`_band_moduli`.
+    For t = inf the stack takes the pointwise maximum instead.  The block
+    buffers are let go on return.
     """
-    if p == 2.0 and t == 2.0:
-        return _f22_norm(spec)
-    n = len(spec)
-    stack, spare = np.zeros(n), np.empty(n)
-    rows = None  # the zero stack is in every batch order
-    for _, b0, vals in _band_moduli(spec):
-        R = n // vals.shape[1]
-        if rows is not None and R < rows:  # bands ascend, so rows only shrink
-            stack, spare = _regroup(stack, spare, rows, R), stack
-        rows = R
-        block = stack.reshape(R, -1)[b0 : b0 + len(vals)]
+    for b0, vals in blocks:
+        block = batch[b0 : b0 + len(vals)]
         if np.isinf(t):
             np.maximum(block, vals, out=block)
             continue
         if t != 1.0:
             np.power(vals, t, out=vals)
         block += vals
+
+
+def _mixed_norm(spec: np.ndarray, p: float, t: float) -> float:
+    """L^p norm of the pointwise l^t band stack for a d = 1 spectrum.
+
+    Falls back to the spectral formula for p = t = 2; otherwise adds the
+    band moduli (to the power t) in place into one stack, band by band
+    (only bands carrying mass) and row block by row block.  The stack
+    follows the batch order of the band at hand; between bands, once the
+    last band's buffers are gone and before the next band's row blocks
+    are made, it is regrouped into a fresh array when the order differs
+    and the old stack is dropped.  The L^p norm does not depend on the
+    order of the lattice points.  Besides the spectrum a call holds the
+    stack and one band's fold and block buffers (:func:`_band_moduli`),
+    or, while it regroups, two stacks and a fold.
+    """
+    if p == 2.0 and t == 2.0:
+        return _f22_norm(spec)
+    n = len(spec)
+    stack, rows = np.zeros(n), None  # the zero stack is in every batch order
+    for _, R, blocks in _band_moduli(spec):
+        if rows is not None and R < rows:  # bands ascend, so rows only shrink
+            stack = _regroup(stack, np.empty(n), rows, R)
+        rows = R
+        _add_band(stack.reshape(R, -1), blocks, t)
     if not np.isinf(t) and t != 1.0:
         np.power(stack, 1.0 / t, out=stack)
     if np.isinf(p):
@@ -686,7 +713,8 @@ def _band_lp_norms(spec: np.ndarray) -> dict:
     """Per-band L^2 norms of a d = 1 spectrum, evaluated spectrally."""
     # not np.linalg.norm: its BLAS reduction sums in an order that depends
     # on the thread count
-    return {j: float(np.sqrt(np.sum(np.abs(piece) ** 2))) for j, _, piece in _band_pieces(spec)}
+    pieces = ((j, spec[idx] * w) for j, idx, w in _band_windows(spec))
+    return {j: float(np.sqrt(np.sum(np.abs(piece) ** 2))) for j, piece in pieces if np.any(piece)}
 
 
 def _lq(norms: dict, q: float) -> float:
@@ -706,8 +734,9 @@ def _fspace_draw(args) -> tuple:
     n_out = 2 ** (lac.zeta(lac.L) + 5)
     grid_out = Grid(1, n_out)
     mult = multiplier_on_lattice(lac, grid_out, draw)
-    mult[: n_out // 2] *= spec[: n_out // 2]  # the train truncated to the output lattice
-    mult[n_out // 2 :] *= spec[-n_out // 2 :]
+    top = lac.shell_top()  # < n_out / 2; beyond it the multiplier is zero, and those entries stay unwritten
+    mult[: top + 1] *= spec[: top + 1]  # the train truncated to the multiplier's support
+    mult[-top:] *= spec[-top:]
     del spec  # the input spectrum is not needed for the output norm
     out_norm = _mixed_norm(mult, p, t)
     uniq = tuple(1 if len(actives[k]) == 1 else 0 for k in atoms.scales())

@@ -1,4 +1,3 @@
-import itertools
 import os
 import subprocess
 import sys
@@ -553,13 +552,22 @@ def test_mixed_norm_matches_dense_band_transforms(log_n, seed, p, t):
     assert abs(got - dense) <= 1e-12 * dense
 
 
+def _band_pieces(spec):
+    """(band, indices, windowed values) of each band whose windowed piece is nonzero, ascending."""
+    for j, idx, w in experiments._band_windows(spec):
+        piece = spec[idx] * w
+        if np.any(piece):
+            yield j, idx, piece
+
+
 def _band_batches(spec):
     """(band, its (R, M) batch of moduli) reassembled from the row blocks of _band_moduli."""
     n = len(spec)
-    for j, blocks in itertools.groupby(experiments._band_moduli(spec), key=lambda item: item[0]):
+    for j, R, blocks in experiments._band_moduli(spec):
         M = min(2 ** (j + 2), n)
+        assert R == n // M
         rows = []
-        for _, b0, vals in blocks:
+        for b0, vals in blocks:
             assert b0 == sum(len(r) for r in rows)  # consecutive blocks of rows
             assert vals.shape[1] == M and vals.size <= max(experiments._BAND_BLOCK_POINTS, M)
             rows.append(vals.copy())  # the block buffer is overwritten by the next block
@@ -570,7 +578,7 @@ def _assert_band_moduli_match_dense(spec):
     import scipy.fft
 
     n = len(spec)
-    for (j, idx, piece), (band, vals) in zip(experiments._band_pieces(spec), _band_batches(spec), strict=True):
+    for (j, idx, piece), (band, vals) in zip(_band_pieces(spec), _band_batches(spec), strict=True):
         assert band == j
         M = min(2 ** (j + 2), n)
         assert vals.shape == (n // M, M)  # |f[a R + b]| at [b, a]
@@ -599,6 +607,40 @@ def test_band_range_spans_the_bands_that_hold_the_spectrum(log_n, data):
     assert bands[-1] <= log_n - 1  # below the partition's top band J = log2 n
 
 
+def _band_range_from_indices(spec):
+    """The bands of _band_range by its former n-point index formula, kept as its oracle."""
+    nz = np.flatnonzero(spec != 0)
+    r = np.minimum(nz, len(spec) - nz)  # |xi| at FFT-order indices
+    r = r[r > 0]
+    if r.size == 0:
+        return []
+    return list(range(max(1, int(np.floor(np.log2(r.min())))), int(np.ceil(np.log2(r.max()))) + 1))
+
+
+_SPARSE_SPECTRA = st.integers(1, 12).flatmap(
+    lambda log_n: st.tuples(
+        st.just(log_n),
+        st.lists(st.tuples(st.integers(0, 2**log_n - 1), st.sampled_from([1.0, 1j, -0.0, 1e-300])), max_size=6),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_SPARSE_SPECTRA)
+@example(case=(4, []))  # empty
+@example(case=(4, [(0, 1.0)]))  # the origin only
+@example(case=(4, [(8, 1.0)]))  # the Nyquist index only
+@example(case=(4, [(1, 1.0)]))  # radius 1 only, at +1
+@example(case=(4, [(15, 1j)]))  # radius 1 only, at -1
+@example(case=(1, [(1, 1.0)]))  # n = 2: radius 1 is the Nyquist index
+def test_band_range_matches_the_index_formula(case):
+    log_n, entries = case
+    spec = np.zeros(2**log_n, dtype=complex)
+    for i, value in entries:
+        spec[i] = value
+    assert experiments._band_range(spec) == _band_range_from_indices(spec)
+
+
 @settings(max_examples=40, deadline=None)
 @given(log_n=st.integers(3, 16), seed=st.integers(0, 2**16))
 def test_band_moduli_match_dense_inverse_fft(log_n, seed):
@@ -613,7 +655,7 @@ def _full_batch_mixed_norm(spec, p, t):
     n = len(spec)
     stack, spare = np.zeros(n), np.empty(n)
     rows = None
-    for j, idx, piece in experiments._band_pieces(spec):
+    for j, idx, piece in _band_pieces(spec):
         M = min(2 ** (j + 2), n)
         R = n // M
         folded = np.zeros(M, dtype=complex)
@@ -680,6 +722,54 @@ def test_band_moduli_match_dense_inverse_fft_at_criterion_size():
     r = _dense_radii(n)
     clear_tables()
     _assert_band_moduli_match_dense(_random_spectrum(n, 8) * ((r < 2.0**8) | (r > 2.0**18)))
+
+
+def test_mixed_norm_holds_one_stack_and_one_band_beside_the_spectrum():
+    # criterion 8's output lattice with mass below radius 2^17: the top band
+    # 17 folds onto M = 2^19 points in R = 4 rows, one row per block
+    import tracemalloc
+
+    n, M = 2**21, 2**19
+    clear_tables()
+    spec = _random_spectrum(n, 1) * (_dense_radii(n) < 2.0**17)
+    assert experiments._band_range(spec)[-1] == 17
+    experiments._mixed_norm(spec, 2.0, 1.0)  # warm: the band tables are cached
+    tracemalloc.start()
+    try:
+        experiments._mixed_norm(spec, 2.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        clear_tables()
+    stacks, fold, row_block, moduli = 2 * 8 * n, 16 * M, 16 * M, 8 * M
+    assert peak <= stacks + fold + row_block + moduli
+
+
+def _full_lattice_draw_norms(lac, atoms, p, q, t, draw):
+    """_fspace_draw's two norms (to the power p) with the multiplier applied across the whole output lattice."""
+    spec, _ = atom_train_spectrum(atoms, make_grid(1, 2 ** (atoms.zeta(atoms.L) + 6)), draw)
+    n_out = 2 ** (lac.zeta(lac.L) + 5)
+    mult = multiplier_on_lattice(lac, make_grid(1, n_out), draw)
+    mult[: n_out // 2] *= spec[: n_out // 2]
+    mult[n_out // 2 :] *= spec[-n_out // 2 :]
+    return experiments._mixed_norm(spec, p, q) ** p, experiments._mixed_norm(mult, p, t) ** p
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    L=st.integers(3, 5),
+    draw=st.integers(0, 7),
+    seed=st.integers(0, 2**16),
+    pqt=st.sampled_from([(2.0, 2.0, 1.0), (1.5, 1.5, 1.0), (2.0, 2.0, np.inf), (1.5, 1.5, 3.0), (2.0, 2.0, 2.0)]),
+)
+def test_support_only_product_keeps_the_draw_norms(L, draw, seed, pqt):
+    # the output spectrum is written only where the multiplier can be nonzero
+    p, q, t = pqt
+    lac = LacunaryConfig(L=L, spacing=2, m=-abs(1.0 / p - 0.5), seed=seed)
+    atoms = RandomAtomConfig(L=L, spacing=2, p=p, seed=seed + 1)
+    _, in_norm, out_norm, _ = experiments._fspace_draw((lac, atoms, p, q, t, draw))
+    ref_in, ref_out = _full_lattice_draw_norms(lac, atoms, p, q, t, draw)
+    assert (in_norm.hex(), out_norm.hex()) == (ref_in.hex(), ref_out.hex())
 
 
 @settings(max_examples=4, deadline=None)
