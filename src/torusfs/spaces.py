@@ -11,6 +11,8 @@ norm-equivalence audit analyzes each input once per call, for every triple.
 
 Coefficient-side machinery: the sequence-space norm ||g^{s,q}(b)||_p, the
 bounded-block atoms for p <= 1, and a stopping-cube atomic decomposition.
+A coefficient field is a list of dense per-scale arrays, and the norm, the
+transform and the decomposition all work on those arrays level by level.
 """
 
 from __future__ import annotations
@@ -138,62 +140,27 @@ def triebel_infty_norm(f: GridFunction, partition: LPPartition, s: float, q: flo
 # ---------------------------------------------------------------------------
 
 
+def _zero_levels(dim: int, depth: int) -> list:
+    return [np.zeros((2**k,) * dim, dtype=complex) for k in range(depth + 1)]
+
+
 class CoeffField:
     """Complex coefficients indexed by dyadic cubes of side <= 1.
 
     Stored densely, one complex array per scale: ``levels[k]`` has shape
     ``(2^k,)*dim`` and holds the coefficient of the scale-k cube at each
-    offset, for k = 0..max_depth.  Setting a coefficient finer than
-    ``max_depth`` appends zero levels down to its scale; a cube that was
-    never set reads 0.  ``entries``, iteration, ``len`` and ``to_rows``
-    cover the nonzero coefficients in (k, offset) order.
+    offset, for k = 0..max_depth.  With no levels the field is a single
+    zero level 0.  ``len`` counts the nonzero coefficients.
     """
 
-    def __init__(self, dim: int, entries: dict | None = None, max_depth: int | None = None):
+    def __init__(self, dim: int, levels: list | None = None):
         if dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         self.dim = dim
-        self.levels: list = []
-        self._grow(max_depth or 0)
-        for key, v in (entries or {}).items():
-            self[key] = v
-
-    @classmethod
-    def _of_levels(cls, dim: int, levels: list) -> "CoeffField":
-        out = cls(dim)
-        out.levels = levels
-        return out
-
-    def _grow(self, k: int) -> None:
-        self.levels.extend(np.zeros((2**j,) * self.dim, dtype=complex) for j in range(len(self.levels), k + 1))
-
-    def _cube(self, key) -> DyadicCube:
-        k, off = key
-        return DyadicCube(int(k), tuple(int(o) for o in np.atleast_1d(off)), self.dim)
-
-    def __setitem__(self, key, value):
-        cube = self._cube(key)
-        self._grow(cube.k)
-        self.levels[cube.k][cube.offset] = value
-
-    def __getitem__(self, key):
-        try:
-            cube = self._cube(key)
-        except ValueError:
-            return 0j
-        return complex(self.levels[cube.k][cube.offset]) if cube.k <= self.max_depth else 0j
-
-    @property
-    def entries(self) -> dict:
-        """The nonzero coefficients as ``{(k, offset): value}``."""
-        return {
-            (k, tuple(int(o) for o in off)): complex(level[off])
-            for k, level in enumerate(self.levels)
-            for off in zip(*np.nonzero(level))
-        }
-
-    def __iter__(self):
-        return iter(self.entries.items())
+        self.levels = levels or _zero_levels(dim, 0)
+        for k, level in enumerate(self.levels):
+            if level.shape != (2**k,) * dim:
+                raise ValueError(f"level {k} has shape {level.shape}, not {(2**k,) * dim}")
 
     def __len__(self):
         return sum(int(np.count_nonzero(level)) for level in self.levels)
@@ -203,16 +170,7 @@ class CoeffField:
         return len(self.levels) - 1
 
     def scaled(self, c: complex) -> "CoeffField":
-        return CoeffField._of_levels(self.dim, [c * level for level in self.levels])
-
-    def add(self, other: "CoeffField") -> "CoeffField":
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        out = CoeffField(self.dim, max_depth=max(self.max_depth, other.max_depth))
-        for part in (self, other):
-            for k, level in enumerate(part.levels):
-                out.levels[k] += level
-        return out
+        return CoeffField(self.dim, [c * level for level in self.levels])
 
     def g_field(self, sp: SpaceParams) -> np.ndarray:
         """g^{s,q} evaluated on the finest cell lattice (exact; the function
@@ -227,17 +185,6 @@ class CoeffField:
             else:
                 acc += expand_blocks(w**q, n)
         return acc if np.isinf(q) else acc ** (1.0 / q)
-
-    def to_rows(self) -> list:
-        rows = []
-        for (k, off), v in self:
-            row = {"k": k}
-            for i, o in enumerate(off):
-                row[f"offset{i}"] = o
-            row["re"] = v.real
-            row["im"] = v.imag
-            rows.append(row)
-        return rows
 
 
 def sequence_norm(b: CoeffField, sp: SpaceParams) -> float:
@@ -389,7 +336,7 @@ def phi_analyze(f: GridFunction, fam: PhiTransformFamily, max_depth: int) -> Coe
         m = 2**k
         vals = np.fft.ifftn(_fold_spectrum(corr, m)) * m**grid.dim
         levels.append(vals * 2.0 ** (-k * grid.dim / 2.0))
-    return CoeffField._of_levels(grid.dim, levels)
+    return CoeffField(grid.dim, levels)
 
 
 def phi_synthesize(v: CoeffField, fam: PhiTransformFamily, grid: Grid) -> GridFunction:
@@ -490,10 +437,11 @@ class AtomicDecomposition:
     cubes: list
 
     def reconstruct(self, dim: int) -> CoeffField:
-        out = CoeffField(dim)
+        levels = _zero_levels(dim, max((atom.max_depth for atom in self.atoms), default=0))
         for lam, atom in zip(self.lambdas, self.atoms):
-            out = out.add(atom.scaled(lam))
-        return out
+            for k, level in enumerate(atom.levels):
+                levels[k] += lam * level
+        return CoeffField(dim, levels)
 
     def scalar_lp(self, p: float) -> float:
         return float(np.sum(np.abs(self.lambdas) ** p) ** (1.0 / p))
@@ -517,14 +465,6 @@ def atomic_decompose(b: CoeffField, sp: SpaceParams) -> AtomicDecomposition:
         return AtomicDecomposition([], [], [])
     K = b.max_depth
     g = b.g_field(sp)
-    cube_min = [block_reduce(g, k, op=np.min) for k in range(K + 1)]
-
-    def level_of(k: int, off: tuple) -> int:
-        m = float(cube_min[k][off])
-        j = int(np.floor(np.log2(m)))
-        if 2.0**j >= m:
-            j -= 1
-        return j
 
     # boolean pyramids of {g > 2^j}, built lazily per level
     pyramids: dict = {}
@@ -541,13 +481,20 @@ def atomic_decompose(b: CoeffField, sp: SpaceParams) -> AtomicDecomposition:
         return k, off
 
     groups: dict = {}
-    for (k, off), val in b:
-        j = level_of(k, off)
-        groups.setdefault((j,) + stopping_cube(k, off, j), []).append(((k, off), val))
+    for k, level in enumerate(b.levels):
+        cube_min = block_reduce(g, k, op=np.min)
+        for off in map(tuple, np.argwhere(level).tolist()):
+            m = float(cube_min[off])
+            j = int(np.floor(np.log2(m)))
+            if 2.0**j >= m:
+                j -= 1
+            groups.setdefault((j,) + stopping_cube(k, off, j), []).append((k, off))
 
     lambdas, atoms, cubes = [], [], []
-    for (j, tk, toff), items in sorted(groups.items()):
-        piece = CoeffField(b.dim, dict(items))
+    for (j, tk, toff), members in sorted(groups.items()):
+        piece = CoeffField(b.dim, _zero_levels(b.dim, max(k for k, _ in members)))
+        for k, off in members:
+            piece.levels[k][off] = b.levels[k][off]
         top = DyadicCube(tk, toff, b.dim)
         lam = float(piece.g_field(sp).max()) * top.volume ** (1.0 / sp.p)
         if lam == 0:
@@ -571,12 +518,8 @@ def triebel_sharp_norm(
     if sp.q >= sp.p:
         warnings.warn("triebel_sharp_norm: q >= p is outside the equivalence hypothesis", stacklevel=2)
     _check_resolution(f, partition)
-    head = sum(
-        2.0 ** (sp.s * j) * band_project(f, partition, j).lp_norm(sp.p) for j in range(min(n, partition.J + 1))
-    )
-    bands = [
-        GridFunction.from_samples(f.grid, 2.0 ** (sp.s * k) * band_project(f, partition, k).samples)
-        for k in range(1, partition.J + 1)
-    ]
-    sharp = vector_sharp(bands, sp.q, n, k0=1)
+    bands = [band_project(f, partition, k) for k in range(partition.J + 1)]
+    head = sum(2.0 ** (sp.s * j) * bands[j].lp_norm(sp.p) for j in range(min(n, partition.J + 1)))
+    weighted = [GridFunction.from_samples(f.grid, 2.0 ** (sp.s * k) * bands[k].samples) for k in range(1, partition.J + 1)]
+    sharp = vector_sharp(weighted, sp.q, n, k0=1)
     return float(head + GridFunction.from_samples(f.grid, sharp.samples.real).lp_norm(sp.p))

@@ -137,13 +137,18 @@ def test_criterion_05_frame_transform_and_atoms():
     ctrl = []
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        b = CoeffField(1)
+        pairs = []
         for _ in range(12):
             k = int(rng.integers(0, 5))
-            b[(k, int(rng.integers(0, 2**k)))] = complex(rng.standard_normal(), rng.standard_normal())
+            pairs.append((k, int(rng.integers(0, 2**k)), complex(rng.standard_normal(), rng.standard_normal())))
+        levels = [np.zeros(2**k, dtype=complex) for k in range(max(k for k, _, _ in pairs) + 1)]
+        for k, off, v in pairs:
+            levels[k][off] = v  # a later draw of the same cube overwrites
+        b = CoeffField(1, levels)
         dec = atomic_decompose(b, sp)
         rec = dec.reconstruct(1)
-        ok &= max(abs(rec[key] - b[key]) for key in b.entries) < 1e-12
+        ok &= len(rec.levels) == len(b.levels)
+        ok &= max(np.max(np.abs(r - level)) for r, level in zip(rec.levels, b.levels)) < 1e-12
         ok &= all(is_infty_atom(a, Q, sp) for a, Q in zip(dec.atoms, dec.cubes))
         ctrl.append(dec.scalar_lp(sp.p) / sequence_norm(b, sp))
     _verdict(5, "frame transform and atoms", ok,

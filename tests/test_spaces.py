@@ -1,12 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings, strategies as st
 
-from torusfs import littlewood_paley
+from torusfs import littlewood_paley, spaces
 from torusfs.dyadic import DyadicCube
 from torusfs.grid import GridFunction, make_grid
-from torusfs.littlewood_paley import build_partition
-from torusfs.maximal import band_limited_function
+from torusfs.littlewood_paley import band_project, build_partition
+from torusfs.maximal import band_limited_function, vector_sharp
 from torusfs.spaces import (
     CoeffField,
     SpaceParams,
@@ -160,11 +163,31 @@ def test_triebel_infty_q_comparison_recorded():
 # ---------------------------------------------------------------------------
 
 
+def _field(dim, pairs):
+    """A field from ((k, offset), value) pairs, as deep as the deepest pair;
+    a later pair overwrites an earlier one at the same cube."""
+    pairs = list(pairs)
+    depth = max((k for (k, _), _ in pairs), default=0)
+    levels = [np.zeros((2**k,) * dim, dtype=complex) for k in range(depth + 1)]
+    for (k, off), v in pairs:
+        levels[k][off] = v
+    return CoeffField(dim, levels)
+
+
+def _criterion5_field(seed):
+    """Acceptance criterion 5's field: 12 draws at scales 0..4 in d = 1."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(12):
+        k = int(rng.integers(0, 5))
+        pairs.append(((k, int(rng.integers(0, 2**k))), complex(rng.standard_normal(), rng.standard_normal())))
+    return _field(1, pairs)
+
+
 def test_sequence_norm_single_indicator():
     sp = SpaceParams(0.7, 1.5, 2.0)
     k = 3
-    b = CoeffField(1)
-    b[(k, 2)] = 2.0 ** (-k * (sp.s + 0.5))
+    b = _field(1, [((k, 2), 2.0 ** (-k * (sp.s + 0.5)))])
     assert abs(sequence_norm(b, sp) - 2.0 ** (-k / sp.p)) < 1e-12
 
 
@@ -175,51 +198,39 @@ def test_sequence_norm_empty():
 def test_sequence_norm_p_eq_q_closed_form():
     rng = np.random.default_rng(5)
     sp = SpaceParams(0.3, 1.7, 1.7)
-    b = CoeffField(1)
-    entries = []
+    pairs = []
     for _ in range(10):
         k = int(rng.integers(0, 5))
         off = int(rng.integers(0, 2**k))
         v = complex(rng.standard_normal(), rng.standard_normal())
-        b[(k, off)] = v
+        pairs.append(((k, off), v))
+    b = _field(1, pairs)
     total = 0.0
-    for (k, off), v in b:
-        w = 2.0 ** (k * (sp.s + 0.5)) * abs(v)
-        total += w**sp.p * 2.0**-k
+    for k, level in enumerate(b.levels):
+        w = 2.0 ** (k * (sp.s + 0.5)) * np.abs(level)
+        total += np.sum(w**sp.p) * 2.0**-k
     assert abs(sequence_norm(b, sp) - total ** (1 / sp.p)) < 1e-10
 
 
 def _random_field(dim, seed, depth=4, count=12):
     """A sparse field with ``count`` random coefficients at scales 0..depth."""
     rng = np.random.default_rng(seed)
-    b = CoeffField(dim)
+    pairs = []
     for _ in range(count):
         k = int(rng.integers(0, depth + 1))
-        b[(k, tuple(int(o) for o in rng.integers(0, 2**k, size=dim)))] = complex(*rng.standard_normal(2))
-    return b
-
-
-@settings(max_examples=25, deadline=None)
-@given(dim=st.sampled_from([1, 2]), seed=st.integers(0, 2**16), depth=st.integers(0, 5))
-def test_coeff_field_rows_round_trip(dim, seed, depth):
-    b = _random_field(dim, seed, depth)
-    rows = b.to_rows()
-    assert [(r["k"],) + tuple(r[f"offset{i}"] for i in range(dim)) for r in rows] == sorted(
-        (k,) + off for (k, off) in b.entries
-    )
-    back = {(r["k"], tuple(r[f"offset{i}"] for i in range(dim))): complex(r["re"], r["im"]) for r in rows}
-    assert back == b.entries
-    assert len(b) == len(rows)
+        pairs.append(((k, tuple(int(o) for o in rng.integers(0, 2**k, size=dim))), complex(*rng.standard_normal(2))))
+    return _field(dim, pairs)
 
 
 def _g_field_by_cubes(b, sp):
     """g^{s,q}(b) on the finest cells, adding w**q on each cube's cells."""
     n = 2**b.max_depth
     acc = np.zeros((n,) * b.dim)
-    for (k, off), v in b:
-        w = 2.0 ** (k * (sp.s + b.dim / 2.0)) * abs(v)
-        cells = DyadicCube(k, off, b.dim).sample_slices(n)
-        acc[cells] = np.maximum(acc[cells], w) if np.isinf(sp.q) else acc[cells] + w**sp.q
+    for k, level in enumerate(b.levels):
+        for off in map(tuple, np.argwhere(level)):
+            w = 2.0 ** (k * (sp.s + b.dim / 2.0)) * abs(level[off])
+            cells = DyadicCube(k, off, b.dim).sample_slices(n)
+            acc[cells] = np.maximum(acc[cells], w) if np.isinf(sp.q) else acc[cells] + w**sp.q
     return acc if np.isinf(sp.q) else acc ** (1.0 / sp.q)
 
 
@@ -243,12 +254,15 @@ def test_g_field_and_sequence_norm_match_cube_reference(dim, seed, q, p):
     assert abs(sequence_norm(b, sp) - expected) <= 1e-12 * expected
 
 
-def test_coeff_field_rejects_bad_cubes():
-    b = CoeffField(1)
+def test_coeff_field_rejects_misshapen_levels():
     with pytest.raises(ValueError):
-        b[(2, 4)] = 1.0  # offset 4 outside scale 2
+        CoeffField(1, [np.zeros(1), np.zeros(3)])  # scale 1 has 2 cubes, not 3
     with pytest.raises(ValueError):
-        b[(-1, 0)] = 1.0  # side > 1
+        CoeffField(2, [np.zeros((1, 1)), np.zeros(2)])  # a 1-d level in a 2-d field
+    with pytest.raises(ValueError):
+        CoeffField(3)
+    empty = CoeffField(2)
+    assert empty.max_depth == 0 and len(empty) == 0 and empty.levels[0].shape == (1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +290,17 @@ def test_family_invariants():
 def test_analyze_zero_and_linearity():
     z = GridFunction.from_samples(G128, np.zeros(128))
     v = phi_analyze(z, FAM, 5)
-    assert len(v) == 0  # entries and len cover only the nonzero coefficients
+    assert v.max_depth == 5 and len(v) == 0  # len counts only the nonzero coefficients
     f, g = random_band_limited(1, radius=12.0), random_band_limited(2, radius=12.0)
     vf = phi_analyze(f, FAM, 5)
     vg = phi_analyze(g, FAM, 5)
     vsum = phi_analyze(f + g, FAM, 5)
-    for key in vsum.entries:
-        assert abs(vsum[key] - (vf[key] + vg[key])) < 1e-12
+    for both, one, other in zip(vsum.levels, vf.levels, vg.levels):
+        assert np.max(np.abs(both - (one + other))) < 1e-12
 
 
 def test_synthesize_single_coefficient_matches_definition():
-    v = CoeffField(1)
-    v[(3, 5)] = 1.0
+    v = _field(1, [((3, 5), 1.0)])
     out = phi_synthesize(v, FAM, G128)
     spec = FAM.window(3, G128.freq_radii()) * np.exp(-2j * np.pi * G128.axis_freqs() * (5 / 8)) * 2.0 ** (-3 / 2)
     direct = GridFunction.from_spectrum(G128, spec.astype(complex))
@@ -330,8 +343,7 @@ def test_round_trip_random_depth(dim, seed, depth):
 
 
 def test_round_trip_on_window_atom():
-    v0 = CoeffField(1)
-    v0[(4, 9)] = 1.0
+    v0 = _field(1, [((4, 9), 1.0)])
     f = phi_synthesize(v0, FAM, G128)
     back = phi_synthesize(phi_analyze(f, FAM, 6), FAM, G128)
     assert np.max(np.abs(back.samples - f.samples)) < 1e-8 * np.max(np.abs(f.samples))
@@ -358,19 +370,16 @@ def test_atom_examples():
     sp = SpaceParams(0.3, 1.0, 2.0)
     Q0 = DyadicCube(1, (1,), 1)
     assert is_infty_atom(CoeffField(1), Q0, sp)
-    r = CoeffField(1)
-    r[(2, 3)] = 2.0 ** (-2 * (sp.s + 0.5)) * Q0.volume ** (-1.0 / sp.p)
+    r = _field(1, [((2, 3), 2.0 ** (-2 * (sp.s + 0.5)) * Q0.volume ** (-1.0 / sp.p))])
     assert is_infty_atom(r, Q0, sp)
     assert not is_infty_atom(r.scaled(2.0), Q0, sp)
-    outside = CoeffField(1)
-    outside[(2, 0)] = 0.1
+    outside = _field(1, [((2, 0), 0.1)])
     assert not is_infty_atom(outside, Q0, sp)
 
 
 def test_atomic_decompose_scaled_atom_single_term():
     sp = SpaceParams(0.0, 1.0, 2.0)
-    b = CoeffField(1)
-    b[(2, 1)] = 3.0 * 2.0 ** (-2 * 0.5) * (2.0**-2) ** (-1.0)
+    b = _field(1, [((2, 1), 3.0 * 2.0 ** (-2 * 0.5) * (2.0**-2) ** (-1.0))])
     dec = atomic_decompose(b, sp)
     assert len(dec.lambdas) == 1
     assert abs(dec.lambdas[0] - 3.0) < 1e-12
@@ -379,27 +388,23 @@ def test_atomic_decompose_scaled_atom_single_term():
 
 def test_atomic_decompose_two_disjoint_atoms():
     sp = SpaceParams(0.0, 1.0, 2.0)
-    b = CoeffField(1)
-    b[(2, 0)] = 3.0 * 2.0**-1 * 4.0
-    b[(2, 3)] = 5.0 * 2.0**-1 * 4.0
+    b = _field(1, [((2, 0), 3.0 * 2.0**-1 * 4.0), ((2, 3), 5.0 * 2.0**-1 * 4.0)])
     dec = atomic_decompose(b, sp)
     assert sorted(np.round(dec.lambdas, 9)) == [3.0, 5.0]
     rec = dec.reconstruct(1)
-    assert all(abs(rec[key] - b[key]) < 1e-12 for key in b.entries)
+    assert len(rec.levels) == len(b.levels)
+    assert all(np.max(np.abs(r - level)) < 1e-12 for r, level in zip(rec.levels, b.levels))
 
 
 def test_atomic_decompose_random_fields():
     sp = SpaceParams(0.2, 0.7, 1.0)
     ratios = []
     for seed in range(20):
-        rng = np.random.default_rng(seed)
-        b = CoeffField(1)
-        for _ in range(12):
-            k = int(rng.integers(0, 5))
-            b[(k, int(rng.integers(0, 2**k)))] = complex(rng.standard_normal(), rng.standard_normal())
+        b = _criterion5_field(seed)
         dec = atomic_decompose(b, sp)
         rec = dec.reconstruct(1)
-        assert max(abs(rec[key] - b[key]) for key in b.entries) < 1e-12
+        assert len(rec.levels) == len(b.levels)
+        assert max(np.max(np.abs(r - level)) for r, level in zip(rec.levels, b.levels)) < 1e-12
         assert all(is_infty_atom(a, Q, sp) for a, Q in zip(dec.atoms, dec.cubes))
         ratios.append(dec.scalar_lp(sp.p) / sequence_norm(b, sp))
     # the l^p control constant stays in a narrow band across trials
@@ -414,6 +419,66 @@ def test_atomic_decompose_validation():
         atomic_decompose(CoeffField(1), SpaceParams(0.0, 0.8, 0.5))
     empty = atomic_decompose(CoeffField(1), SpaceParams(0.0, 1.0, 2.0))
     assert empty.lambdas == []
+    assert len(empty.reconstruct(2)) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**16),
+    depth=st.integers(0, 5),
+    count=st.integers(1, 20),
+    p=st.sampled_from([0.5, 0.7, 1.0]),
+    q=st.sampled_from([0.5, 0.7, 1.0, 2.0, np.inf]),
+    s=st.sampled_from([-0.5, 0.0, 0.3]),
+)
+def test_atomic_decompose_reconstructs_with_atoms(dim, seed, depth, count, p, q, s):
+    if q < p:
+        q = p
+    b = _random_field(dim, seed, min(depth, 5 if dim == 1 else 3), count)
+    sp = SpaceParams(s, p, q)
+    dec = atomic_decompose(b, sp)
+    rec = dec.reconstruct(dim)
+    scale = max(np.max(np.abs(level)) for level in b.levels)
+    assert len(rec.levels) == len(b.levels)
+    assert all(np.max(np.abs(r - level)) <= 1e-12 * scale for r, level in zip(rec.levels, b.levels))
+    assert all(lam > 0 for lam in dec.lambdas)
+    assert all(is_infty_atom(a, Q, sp) for a, Q in zip(dec.atoms, dec.cubes))
+
+
+# sha-256 of the decompositions below, taken before atomic_decompose worked on
+# dense levels; it covers every lambda, support cube and atom level, each
+# reconstruction and each sequence norm, bit for bit
+DECOMPOSITION_DIGEST = "a8647e85021abc15b929d24fa8504b545ecbdafec0c6fb2143160ce962f447e6"
+GENERATED_WITH = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+
+def _decomposition_cases():
+    cases = [(_criterion5_field(seed), SpaceParams(0.2, 0.7, 1.0)) for seed in range(20)]
+    for i in range(30):
+        dim = 1 + i % 2
+        p = (0.5, 0.7, 1.0)[i % 3]
+        q = (p, 1.0, 2.0, np.inf)[i // 3 % 4]
+        b = _random_field(dim, [19, i], 5 if dim == 1 else 3, 4 + i % 11)
+        cases.append((b, SpaceParams(0.3 * (i % 5 - 2), p, q)))
+    return cases
+
+
+def test_atomic_decompose_bits_match_pinned_digest():
+    versions = {"numpy": np.__version__, "scipy": scipy.__version__}
+    if versions != GENERATED_WITH:
+        pytest.skip(f"digest was generated with {GENERATED_WITH}, running {versions}")
+    h = hashlib.sha256()
+    for b, sp in _decomposition_cases():
+        dec = atomic_decompose(b, sp)
+        for lam, atom, cube in zip(dec.lambdas, dec.atoms, dec.cubes):
+            h.update(f"{lam.hex()} {cube.k} {cube.offset};".encode())
+            for level in atom.levels:
+                h.update(level.tobytes())
+        for level in dec.reconstruct(b.dim).levels:
+            h.update(level.tobytes())
+        h.update(sequence_norm(b, sp).hex().encode())
+    assert h.hexdigest() == DECOMPOSITION_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +516,22 @@ def test_sharp_norm_single_high_band():
     a = triebel_sharp_norm(f, P5, sp, 3)
     b = triebel_norm(f, P5, sp)
     assert 0.5 <= a / b <= 2.0
+
+
+@pytest.mark.parametrize("J, n", [(3, 2), (5, 3), (5, 7)])
+def test_sharp_norm_projects_each_band_once(monkeypatch, J, n):
+    part = build_partition(J)
+    sp = SpaceParams(0.4, 3.0, 1.5, "triebel")
+    f = random_band_limited(J)
+    # the formula with each band projected afresh for the head and for the stack
+    head = sum(2.0 ** (sp.s * j) * band_project(f, part, j).lp_norm(sp.p) for j in range(min(n, J + 1)))
+    bands = [GridFunction.from_samples(f.grid, 2.0 ** (sp.s * k) * band_project(f, part, k).samples) for k in range(1, J + 1)]
+    sharp = vector_sharp(bands, sp.q, n, k0=1)
+    expected = float(head + GridFunction.from_samples(f.grid, sharp.samples.real).lp_norm(sp.p))
+    calls = []
+    monkeypatch.setattr(spaces, "band_project", lambda *a: calls.append(a[2]) or band_project(*a))
+    assert triebel_sharp_norm(f, part, sp, n) == expected
+    assert sorted(calls) == list(range(J + 1))
 
 
 def test_sharp_norm_warns_outside_hypothesis():
