@@ -8,6 +8,14 @@ fixed seed set) plus CSV tables.  Exit code 0 means every requested audit
 passed its tolerance, 1 means some audit failed, 2 means the
 configuration was unusable or an audit suite raised (the other suites of
 ``audit --suite all`` still run and write their reports).
+
+Importing this module loads only what parsing and ``_write_outputs``
+need (argparse, json, numpy and ``torusfs.report``).  Each command and
+audit suite imports the library modules it runs inside its own body when
+it is called, so a command never loads a module it does not use, and no
+library name is bound in this module's namespace: a caller that swaps a
+library module's attributes (a test's monkeypatch, the benchmark's
+tracer) is seen by every later call.
 """
 
 from __future__ import annotations
@@ -16,15 +24,10 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from pathlib import Path
 
 import numpy as np
 
-from . import experiments, maximal, pseudo, spaces
-from .grid import Grid, GridFunction, load_gridfunction, save_gridfunction
-from .littlewood_paley import build_partition, check_partition, export_profiles_csv
-from .registry import list_registry, make_symbol, make_test_function
 from .report import AuditReport, write_table_csv
 
 __all__ = ["main", "run_config"]
@@ -58,10 +61,14 @@ def _print(report: AuditReport) -> None:
 
 
 def _suite_partition(cfg):
+    from .littlewood_paley import build_partition, check_partition
+
     return [check_partition(build_partition(int(cfg.get("J", 10))), int(cfg.get("samples", 100_000)), int(cfg.get("seed", 0)))]
 
 
 def _suite_peetre(cfg):
+    from . import maximal
+
     t, d = float(cfg.get("t", 1.0)), int(cfg.get("d", 1))
     if not t > 0:  # the sigmas below divide by t
         raise ValueError("sigma and t must be positive")
@@ -70,6 +77,8 @@ def _suite_peetre(cfg):
 
 
 def _suite_vector_maximal(cfg):
+    from . import maximal
+
     seed, trials = int(cfg.get("seed", 0)), int(cfg.get("trials", 10))
     return [
         maximal.audit_fs_vector_inequality(p=2.0, q=2.0, sigma=2.0, seed=seed, trials=trials),
@@ -78,6 +87,8 @@ def _suite_vector_maximal(cfg):
 
 
 def _suite_cube_tail(cfg):
+    from . import maximal
+
     seed, trials = int(cfg.get("seed", 0)), int(cfg.get("trials", 6))
     return [
         maximal.audit_infty_maximal(q=2.0, sigma=1.0, seed=seed, trials=trials),
@@ -86,14 +97,20 @@ def _suite_cube_tail(cfg):
 
 
 def _suite_sharp_domination(cfg):
+    from . import maximal
+
     return [maximal.audit_sharp_domination(q=2.0, seed=int(cfg.get("seed", 0)), trials=int(cfg.get("trials", 10)))]
 
 
 def _suite_fefferman_stein(cfg):
+    from . import maximal
+
     return maximal.audit_fefferman_stein(ps=(1.5, 2.0, 4.0), seed=int(cfg.get("seed", 0)), trials=int(cfg.get("trials", 30)))
 
 
 def _suite_khintchine(cfg):
+    from . import experiments
+
     seed = int(cfg.get("seed", 0))
     rng = np.random.default_rng(seed)
     reports = [experiments.khintchine_audit([1.0, 1.0], 1.0)]
@@ -104,11 +121,16 @@ def _suite_khintchine(cfg):
 
 
 def _suite_frame(cfg):
+    from . import spaces
+
     sps = [spaces.SpaceParams(s, p, q, "triebel") for s, p, q in ((0.0, 2.0, 2.0), (0.5, 1.0, 2.0), (-0.3, 3.0, 1.5))]
     return spaces.norm_equivalence_audit(int(cfg.get("trials", 20)), sps, seed=int(cfg.get("seed", 0)))
 
 
 def _suite_fourier_series(cfg):
+    from . import pseudo
+    from .grid import Grid, GridFunction
+
     seed = int(cfg.get("seed", 0))
     n = int(cfg.get("n", 32))
     grid = Grid(1, n)
@@ -124,6 +146,10 @@ def _suite_fourier_series(cfg):
 
 
 def _suite_single_band(cfg):
+    from . import pseudo
+    from .grid import Grid
+    from .littlewood_paley import build_partition
+
     seed, trials = int(cfg.get("seed", 0)), int(cfg.get("trials", 10))
     grid = Grid(1, int(cfg.get("n", 4096)))
     part = build_partition(9)
@@ -135,6 +161,10 @@ def _suite_single_band(cfg):
 
 
 def _suite_kernel(cfg):
+    from . import pseudo
+    from .grid import Grid
+    from .littlewood_paley import build_partition
+
     grid = Grid(1, int(cfg.get("n", 4096)))
     part = build_partition(9)
     return [
@@ -144,6 +174,10 @@ def _suite_kernel(cfg):
 
 
 def _suite_local_energy(cfg):
+    from . import pseudo
+    from .grid import Grid
+    from .littlewood_paley import build_partition
+
     seed, trials = int(cfg.get("seed", 0)), int(cfg.get("trials", 10))
     return [pseudo.audit_local_energy(pseudo.Symbol.bessel(0.0), build_partition(7), Grid(1, 512), seed=seed, trials=trials)]
 
@@ -163,6 +197,13 @@ _SUITES = {
     "local-energy": _suite_local_energy,
 }
 
+# Audit flag -> the suites that read it; any other suite refuses it.
+_SUITE_OPTIONS = {
+    "trials": {"peetre", "vector-maximal", "cube-tail", "sharp-domination", "fefferman-stein", "frame",
+               "fourier-series", "single-band", "local-energy"},
+    "n": {"fourier-series", "single-band", "kernel"},
+}
+
 
 # ---------------------------------------------------------------------------
 # command handlers
@@ -170,6 +211,10 @@ _SUITES = {
 
 
 def _cmd_norm(cfg) -> int:
+    from . import spaces
+    from .grid import load_gridfunction
+    from .littlewood_paley import build_partition
+
     grid_fn = load_gridfunction(cfg["input"])
     space = cfg.get("space", "F")
     s, p, q = float(cfg.get("s", 0.0)), float(cfg.get("p", 2.0)), float(cfg.get("q", 2.0))
@@ -193,6 +238,10 @@ def _cmd_norm(cfg) -> int:
 
 
 def _cmd_apply(cfg) -> int:
+    from . import pseudo
+    from .grid import load_gridfunction, save_gridfunction
+    from .registry import make_symbol
+
     f = load_gridfunction(cfg["input"])
     sym = make_symbol(cfg["symbol"], dim=f.grid.dim)
     out = pseudo.apply(sym, f)
@@ -204,6 +253,11 @@ def _cmd_apply(cfg) -> int:
 
 
 def _cmd_decompose(cfg) -> int:
+    from . import pseudo
+    from .grid import Grid
+    from .littlewood_paley import build_partition
+    from .registry import make_symbol
+
     n = int(cfg.get("n", 256))
     J = int(cfg.get("J", 6))
     grid = Grid(1, n)
@@ -239,9 +293,12 @@ def _cmd_audit(cfg) -> int:
     suite = cfg.get("suite", "partition")
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)} or 'all'")
+    names = list(_SUITES) if suite == "all" else [suite]
+    for option, readers in _SUITE_OPTIONS.items():
+        if option in cfg and not readers.intersection(names):
+            raise ValueError(f"--{option} is not read by suite {suite!r}; suites that read it: {', '.join(sorted(readers))}")
     if "trials" in cfg and int(cfg["trials"]) < 1:
         raise ValueError(f"trials must be >= 1, got {cfg['trials']}")
-    names = list(_SUITES) if suite == "all" else [suite]
     status = 0
     raised = []
     outdir = Path(cfg["outdir"])
@@ -250,6 +307,8 @@ def _cmd_audit(cfg) -> int:
             reports = _SUITES[name](cfg)
         except Exception as exc:  # one suite's failure must not cost the others their reports
             if not isinstance(exc, (ValueError, OSError)):
+                import traceback
+
                 traceback.print_exc()
             print(f"audit {name} raised: {exc}", file=sys.stderr)
             raised.append(name)
@@ -285,6 +344,8 @@ def _parse_range(text: str):
 
 
 def _cmd_experiment(cfg) -> int:
+    from . import experiments
+
     name = cfg.get("name", "fspace-growth")
     p = float(cfg.get("p", 2.0))
     q = float(cfg.get("q", 2.0))
@@ -312,11 +373,15 @@ def _cmd_experiment(cfg) -> int:
 
 
 def _cmd_registry(cfg) -> int:
+    from .registry import list_registry
+
     print(json.dumps(list_registry(), sort_keys=True, indent=2))
     return 0
 
 
 def _cmd_profiles(cfg) -> int:
+    from .littlewood_paley import build_partition, export_profiles_csv
+
     outdir = Path(cfg["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
     export_profiles_csv(build_partition(int(cfg.get("J", 8))), outdir / "partition-profiles.csv")
@@ -325,6 +390,9 @@ def _cmd_profiles(cfg) -> int:
 
 
 def _cmd_make(cfg) -> int:
+    from .grid import Grid, save_gridfunction
+    from .registry import make_test_function
+
     grid = Grid(int(cfg.get("d", 1)), int(cfg.get("n", 256)))
     f = make_test_function(cfg["function"], grid)
     output = cfg.get("output") or str(Path(cfg["outdir"]) / "function.dat")

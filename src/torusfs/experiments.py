@@ -48,7 +48,6 @@ import functools
 import itertools
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -756,6 +755,8 @@ def _run_tasks(worker, batches, workers: int) -> list:
     if workers <= 1:
         flat = [worker(task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing: keep it out of start-up
+
         import numpy.fft  # noqa: F401  (numpy loads it lazily: loaded before the fork, so that workers inherit it)
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

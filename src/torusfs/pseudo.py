@@ -572,7 +572,7 @@ def audit_single_band(
     grid = grid or Grid(1, 4096)
     partition = partition or LPPartition(J=max(ks) + 1)
     if 2.0 ** (max(ks) + 1) >= grid.nyquist:
-        raise ValueError("top band exceeds the grid")
+        raise ValueError(f"band {max(ks)} needs a finer grid than n={grid.n}")
     d = grid.dim
     op = _band_operators(a, partition, grid)
 

@@ -3,26 +3,22 @@
 Identifiers are part of the command-line contract and are snapshot-tested;
 add new entries rather than renaming existing ones.  Symbol selectors are
 parsed from strings like ``bessel(-0.5)`` or ``rademacher(6,11)``.
+Listing the catalog loads nothing beyond ``torusfs.grid``; each factory
+branch imports the module that builds its object when it runs.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .experiments import (
-    LacunaryConfig,
-    RandomAtomConfig,
-    lacunary_test_function,
-    oscillatory_multiplier,
-    rademacher_multiplier,
-    random_atom_train,
-)
 from .grid import Grid, GridFunction
-from .maximal import band_limited_function
-from .pseudo import Symbol
+
+if TYPE_CHECKING:
+    from .pseudo import Symbol
 
 __all__ = ["list_registry", "make_symbol", "make_test_function"]
 
@@ -75,6 +71,8 @@ def _need(name: str, args, count: int) -> None:
 
 def make_symbol(spec: str, dim: int = 1) -> Symbol:
     """Instantiate a registry symbol from a selector string."""
+    from .pseudo import Symbol
+
     name, args = _parse(spec)
     if name == "identity":
         return Symbol.identity(dim)
@@ -83,6 +81,8 @@ def make_symbol(spec: str, dim: int = 1) -> Symbol:
         return Symbol.bessel(float(args[0]), dim)
     if name == "oscillatory":
         _need(name, args, 2)
+        from .experiments import oscillatory_multiplier
+
         return oscillatory_multiplier(float(args[0]), float(args[1]), dim)
     if name == "sinsin":
         return Symbol.sin_sin()
@@ -90,6 +90,8 @@ def make_symbol(spec: str, dim: int = 1) -> Symbol:
         _need(name, args, 1)
         L = int(args[0])
         seed = int(args[1]) if len(args) > 1 else 0
+        from .experiments import LacunaryConfig, rademacher_multiplier
+
         return rademacher_multiplier(LacunaryConfig(L=L, spacing=2, m=0.0, seed=seed, d=dim))
     raise ValueError(f"unknown symbol {name!r}; see the registry")
 
@@ -105,19 +107,27 @@ def make_test_function(spec: str, grid: Grid) -> GridFunction:
         phase = sum(2j * np.pi * float(a) * x for a, x in zip(args, freqs))
         return GridFunction.from_samples(grid, np.exp(phase))
     if name == "random":
+        from .maximal import band_limited_function
+
         seed = int(args[0]) if args else 0
         radius = float(args[1]) if len(args) > 1 else grid.nyquist / 4
         return band_limited_function(grid, radius, np.random.default_rng(seed), kind="random")
     if name == "spike":
+        from .maximal import band_limited_function
+
         radius = float(args[0]) if args else grid.nyquist / 4
         return band_limited_function(grid, radius, None, kind="spike")
     if name == "atom-train":
         _need(name, args, 1)
         L = int(args[0])
         seed = int(args[1]) if len(args) > 1 else 0
+        from .experiments import RandomAtomConfig, random_atom_train
+
         return random_atom_train(RandomAtomConfig(L=L, spacing=2, seed=seed, d=grid.dim), grid)
     if name == "lacunary":
         _need(name, args, 1)
         L = int(args[0])
+        from .experiments import RandomAtomConfig, lacunary_test_function
+
         return lacunary_test_function(RandomAtomConfig(L=L, spacing=2, d=grid.dim), grid)
     raise ValueError(f"unknown test function {name!r}; see the registry")

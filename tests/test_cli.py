@@ -137,6 +137,47 @@ def test_audit_trials_option_reaches_every_trial_loop(suite, tmp_path):
     assert all(rep["params"]["trials"] == 2 for rep in reports)
 
 
+def _reports(outdir):
+    """Every report a run wrote, without the echoed configuration."""
+    reports = {}
+    for path in sorted(outdir.glob("audit-*.json")):
+        rep = json.loads(path.read_text())
+        rep.pop("effective_config")
+        reports[path.name] = rep
+    return reports
+
+
+@pytest.mark.parametrize("option, value", [("trials", "2"), ("n", "64")])
+@pytest.mark.parametrize("suite", sorted(_SUITES))
+def test_every_suite_honours_or_refuses_trials_and_n(tmp_path, capsys, suite, option, value):
+    # an audit flag either changes what a suite computes or stops the run before any work
+    code = main(["audit", "--suite", suite, f"--{option}", value, "--outdir", str(tmp_path / "set")])
+    err = capsys.readouterr().err
+    if suite not in cli._SUITE_OPTIONS[option]:
+        assert code == 2
+        assert err.startswith(f"config error: --{option} is not read by suite {suite!r}; suites that read it: ")
+        assert not (tmp_path / "set").exists()
+        return
+    if code == 2:  # read, and too small for this suite's bands
+        assert err.startswith(f"audit {suite} raised: ") and f"n={value}" in err
+        return
+    assert main(["audit", "--suite", suite, "--outdir", str(tmp_path / "default")]) == 0
+    capsys.readouterr()
+    changed, default = _reports(tmp_path / "set"), _reports(tmp_path / "default")
+    assert sorted(changed) == sorted(default)
+    assert changed != default
+
+
+def test_audit_all_refuses_only_options_no_suite_reads(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_SUITES", {name: _SUITES[name] for name in ("partition", "khintchine")})
+    assert main(["audit", "--suite", "all", "--n", "64", "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: --n is not read by suite 'all'")
+    assert not (tmp_path / "out").exists()
+    monkeypatch.setattr(cli, "_SUITES", {name: _SUITES[name] for name in ("partition", "fourier-series")})
+    assert main(["audit", "--suite", "all", "--n", "64", "--outdir", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "audit-fourier-series.json").read_text())["params"]["n"] == 64
+
+
 def test_audit_outside_hypothesis_passes_by_failing(tmp_path, monkeypatch):
     # a report flagged outside its hypothesis is a necessity run: detecting the failure is the pass
     def necessity(passed):
@@ -264,8 +305,9 @@ def _dense_build(build):
 
 
 def _table_driven_outputs(outdir):
-    for suite in ("frame", "single-band", "local-energy", "partition"):
+    for suite in ("frame", "single-band", "local-energy"):
         assert main(["audit", "--suite", suite, "--trials", "2", "--outdir", str(outdir)]) == 0
+    assert main(["audit", "--suite", "partition", "--outdir", str(outdir)]) == 0  # it draws samples, not trials
     for name, p in (("fspace-growth", "1.5"), ("bspace-growth", "2")):
         main(["experiment", "--name", name, "--p", p, "--L", "3..4", "--draws", "2", "--seed", "5",
               "--outdir", str(outdir / name)])
@@ -298,9 +340,91 @@ def test_profiles_and_make(tmp_path):
     assert f.grid.n == 2**12
 
 
-def test_import_loads_no_scipy():
-    # scipy is imported where it is used, so start-up stays cheap
-    script = "import sys, torusfs, torusfs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+# The names ``torusfs`` re-exports, by the submodule that defines them.
+_EXPORTED = {
+    "grid": ["Grid", "GridFunction", "convolve", "load_gridfunction", "make_grid", "save_gridfunction", "upsample"],
+    "littlewood_paley": ["LPPartition", "band_project", "build_partition", "check_partition"],
+    "dyadic": ["DyadicCube"],
+    "maximal": ["PeetreParams", "dyadic_sharp", "hl_maximal", "peetre_maximal", "vector_sharp"],
+    "spaces": ["AtomicDecomposition", "CoeffField", "PhiTransformFamily", "SpaceParams", "atomic_decompose",
+               "besov_norm", "build_phi_family", "is_infty_atom", "phi_analyze", "phi_synthesize", "sequence_norm",
+               "triebel_infty_norm", "triebel_norm", "triebel_sharp_norm"],
+    "pseudo": ["BandKernel", "ParadiffDecomposition", "Symbol", "apply", "band_kernel", "band_symbol",
+               "boundedness_region", "decompose_paradiff", "seminorm"],
+    "experiments": ["LacunaryConfig", "RandomAtomConfig", "khintchine_audit", "khintchine_constants",
+                    "lacunary_test_function", "oscillatory_multiplier", "rademacher_multiplier", "random_atom_train"],
+    "report": ["AuditReport"],
+}
+
+_FRESH_IMPORT = """
+import importlib, json, sys
+import torusfs, torusfs.cli
+loaded = sorted(sys.modules)
+exported = json.loads(sys.argv[1])
+same = all(getattr(torusfs, name) is getattr(importlib.import_module(f"torusfs.{module}"), name)
+           for module, names in exported.items() for name in names)
+print(json.dumps({"loaded": loaded, "all": torusfs.__all__, "dir": dir(torusfs), "same": same}))
+"""
+
+
+def _fresh_python(*args, cwd=None):
+    """Run a fresh interpreter on this checkout's package, as a user's shell would."""
     env = dict(os.environ, PYTHONPATH=str(Path(torusfs.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True)
+
+
+def test_import_loads_no_scipy():
+    # scipy, the process pool and every library module are imported where they are used, so start-up stays cheap
+    out = _fresh_python("-c", _FRESH_IMPORT, json.dumps(_EXPORTED))
+    assert out.returncode == 0, out.stderr
+    fresh = json.loads(out.stdout)
+    heavy = ("scipy", "concurrent", "multiprocessing")
+    assert [m for m in fresh["loaded"] if m.split(".")[0] in heavy] == []
+    # cli itself, and the report module its _write_outputs serializes with
+    assert [m for m in fresh["loaded"] if m.split(".")[0] == "torusfs"] == ["torusfs", "torusfs.cli", "torusfs.report"]
+    assert fresh["all"] == [name for names in _EXPORTED.values() for name in names]
+    assert set(fresh["all"]) <= set(fresh["dir"])
+    assert fresh["same"]
+
+
+def test_readme_commands_in_fresh_interpreters(tmp_path):
+    # in-process tests share one warm sys.modules, which hides an import a command forgot
+    commands = [
+        ["registry"],
+        ["make", "--function", "random(3,20)", "--n", "256", "--output", "f.dat"],
+        ["norm", "--space", "F", "--s", "0", "--p", "2", "--q", "2", "--input", "f.dat", "--outdir", "out"],
+        ["apply", "--symbol", "bessel(-0.5)", "--input", "f.dat", "--output", "g.dat"],
+        ["decompose", "--symbol", "sinsin", "--n", "256", "--J", "6", "--outdir", "out"],
+        ["profiles", "--J", "8", "--outdir", "out"],
+        ["audit", "--suite", "partition", "--outdir", "out"],
+        # one draw per scale: the verdict depends on the seed, and seed 5 passes
+        ["experiment", "--L", "3..4", "--draws", "1", "--seed", "5", "--workers", "2", "--outdir", "out"],
+    ]
+    stdout = {}
+    for command in commands:
+        out = _fresh_python("-m", "torusfs.cli", *command, cwd=tmp_path)
+        assert out.returncode == 0, (command, out.stderr)
+        stdout[command[0]] = out.stdout
+    assert sorted(json.loads(stdout["registry"])) == ["functions", "symbols"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.dat", "g.dat", "out"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "audit-partition.csv", "audit-partition.json", "decompose.csv", "decompose.json",
+        "experiment-fspace-growth.csv", "experiment-fspace-growth.json", "norm.json", "partition-profiles.csv",
+    ]
+
+
+def test_write_outputs_without_main_in_a_fresh_interpreter(tmp_path):
+    # a library caller (the benchmark's growth workload) writes a report through cli without running a command
+    script = """
+import sys
+from pathlib import Path
+from torusfs import cli
+from torusfs.report import AuditReport
+rep = AuditReport("r", {"L": [3, 4]}, 1.5, [{"L": 3, "x": 0.5}], True, None, {"draw_rows": [{"L": 3, "draw": 0}]})
+cli._write_outputs(rep, Path(sys.argv[1]), "stem", {"command": "experiment", "outdir": sys.argv[1]})
+"""
+    out = _fresh_python("-c", script, str(tmp_path / "out"))
+    assert out.returncode == 0, out.stderr
+    report = json.loads((tmp_path / "out" / "stem.json").read_text())
+    assert report["effective_config"] == {"command": "experiment"}
+    assert (tmp_path / "out" / "stem.csv").read_text().splitlines() == ["L,draw,kind,x", "3,,summary,0.5", "3,0,draw,"]
