@@ -197,12 +197,20 @@ _SUITES = {
     "local-energy": _suite_local_energy,
 }
 
-# Audit flag -> the suites that read it; any other suite refuses it.
+# Audit flag or config key -> the suites that read it.  An audit refuses a key
+# that none of its suites reads; the keys every command carries (its name, the
+# suite, the seed flag and the location keys) are always accepted.
 _SUITE_OPTIONS = {
     "trials": {"peetre", "vector-maximal", "cube-tail", "sharp-domination", "fefferman-stein", "frame",
                "fourier-series", "single-band", "local-energy"},
     "n": {"fourier-series", "single-band", "kernel"},
+    "J": {"partition"},
+    "samples": {"partition"},
+    "t": {"peetre"},
+    "d": {"peetre"},
 }
+_AUDIT_FLAGS = {"trials", "n"}  # the audit-only flags; the other keys come from a config file
+_COMMON_KEYS = {"command", "suite", "seed"} | _LOCATION_KEYS
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +302,12 @@ def _cmd_audit(cfg) -> int:
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)} or 'all'")
     names = list(_SUITES) if suite == "all" else [suite]
-    for option, readers in _SUITE_OPTIONS.items():
-        if option in cfg and not readers.intersection(names):
-            raise ValueError(f"--{option} is not read by suite {suite!r}; suites that read it: {', '.join(sorted(readers))}")
+    for key in sorted(cfg.keys() - _COMMON_KEYS):
+        readers = _SUITE_OPTIONS.get(key, set())
+        if not readers.intersection(names):
+            name = f"--{key}" if key in _AUDIT_FLAGS else f"config key {key!r}"
+            read_by = f"suites that read it: {', '.join(sorted(readers))}" if readers else "no suite reads it"
+            raise ValueError(f"{name} is not read by suite {suite!r}; {read_by}")
     if "trials" in cfg and int(cfg["trials"]) < 1:
         raise ValueError(f"trials must be >= 1, got {cfg['trials']}")
     status = 0

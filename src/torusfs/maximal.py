@@ -11,6 +11,15 @@ input and its parameter-free maximal functions once, for every sweep point.
 All suprema over continuous shifts are taken over the sample lattice with
 periodic distance; inputs are band-limited so this is a faithful desk-scale
 realization.
+
+The centered maximal function takes the wrapped box mean of every odd
+width w = 2k+1 < n.  Per width and axis, the mean sums the first window
+(x-k..x+k, wrapped) left to right from 0.0, adds one (entering - leaving)
+difference per step, and divides each running sum by w; a 2-D grid filters
+axis 0, then axis 1.  scipy.ndimage.uniform_filter in mode='wrap' does the
+same arithmetic, and the tests compare the two bit for bit.  Here numpy
+alone computes every width at once through strided views, with one
+vectorized add per position.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from dataclasses import dataclass
 from functools import cache, partial, reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .dyadic import block_reduce, expand_blocks, grid_depth
 from .grid import Grid, GridFunction
@@ -65,11 +75,109 @@ def _periodic_shift_distance(grid: Grid) -> np.ndarray:
     return np.hypot(ax, ay)
 
 
+_BOX_BLOCK_POINTS = 2**16  # running sums per block of rows: one buffer, small enough to stay in cache
+_BOX_CHUNK_POINTS = 2**18  # cap on a window mask's entries, and on widths x points of a 2-D chunk (its first-pass means)
+
+
+def _wrap(P: np.ndarray, k: int) -> np.ndarray:
+    """Fill the k+1 rows before and the k after P's middle n rows b: then P[k + 1 + i] == b[i mod n]."""
+    n = len(P) - 2 * k - 1
+    P[: k + 1], P[k + 1 + n :] = P[n : n + k + 1], P[k + 1 : 2 * k + 1]
+    return P
+
+
+def _box_means(P: np.ndarray, ks: np.ndarray, n: int):
+    """Yield (x0, means): wrapped box means along axis 0, a block of positions at a time.
+
+    P holds b of shape (n, 1 or len(ks), lines) wrapped by _wrap(P, ks[-1]),
+    and ks is a run of consecutive half-widths.  means[i, j, l] is the mean
+    of width w = 2 ks[j] + 1 at position x0 + i of line l (of b[:, j, l]
+    when b has a widths axis).  The sum at position 0 is
+    0.0 + b[-k] + ... + b[k], left to right; each later position x adds the
+    difference b[x+k] - b[x-1-k] to the sum before it; every sum is divided
+    by w.  Each block is a view into one buffer, overwritten by the next.
+
+    The first sums come from masked np.add.reduce calls over axis 0, a few
+    widths at a time.  numpy sums pairwise only when the reduced axis is its
+    innermost loop; here a row holds two or more sums (two or more widths,
+    or lines), the innermost loop runs along it, and the rows are added one
+    at a time, in order.
+    """
+    k, k0 = int(ks[-1]), int(ks[0])
+    P = np.broadcast_to(P, P.shape[:1] + ks.shape + P.shape[2:])
+    sr, sj, sl = P.strides
+
+    def diagonal(start, step, rows):  # [r, j, l] = P[start + r + step * j, j, l]
+        return as_strided(P[start:], (rows,) + P.shape[1:], (sr, sj + step * sr, sl), writeable=False)
+
+    window = diagonal(1 + k - k0, -1, 2 * k + 1)  # row s: b[s - k_j], in width j's first window while s <= 2 k_j
+    running = np.empty(P.shape[1:])
+    for part in np.array_split(np.arange(ks.size), max(1, min(ks.size // 2, ks.size * (2 * k + 1) // _BOX_CHUNK_POINTS))):
+        j = slice(part[0], part[-1] + 1)  # about _BOX_CHUNK_POINTS mask entries, and one width only if ks has one
+        in_window = (np.arange(2 * k + 1, dtype=ks.dtype)[:, None] <= 2 * ks[j])[..., None]
+        np.add.reduce(window[:, j], axis=0, where=in_window, initial=0.0, out=running[j])
+    entering, leaving = diagonal(1 + k + k0, 1, n), diagonal(k - k0, -1, n)  # row x: b[x + k_j], b[x - 1 - k_j]
+    w = 2.0 * ks[:, None] + 1
+    buf = np.empty((max(1, _BOX_BLOCK_POINTS // running.size),) + running.shape)
+    for x0 in range(0, n, len(buf)):
+        block = buf[: n - x0]
+        np.subtract(entering[x0 : x0 + len(block)], leaving[x0 : x0 + len(block)], out=block)
+        if x0 == 0:
+            block[0] = 0.0  # position 0 is the first window sum itself
+        # one vectorized add per row; np.add.accumulate adds in the same order, a column at a time, several times slower
+        prev = running
+        for row in list(block):
+            np.add(prev, row, out=row)
+            prev = row
+        running[...] = prev
+        np.divide(block, w, out=block)
+        yield x0, block
+
+
+def _box_max(a: np.ndarray) -> np.ndarray:
+    """The max over the odd widths 3 .. n-1 of a's wrapped box means, indexed (last pass's position, line).
+
+    A 1-D a gives shape (n, 1).  A 2-D a is filtered along axis 0, then
+    along axis 1, and gives top[y, x].  The widths run in chunks: all at
+    once in 1-D, at most _BOX_CHUNK_POINTS / n^2 at a time in 2-D, whose
+    axis-0 means are kept whole for the axis-1 pass.
+    """
+    n, lines = a.shape[0], a[0].size
+    ks = np.arange(1, n // 2, dtype=np.int32)  # int32 keeps the window mask cheap
+    K = int(ks[-1])
+    A = np.empty((n + 2 * K + 1, 1, lines))  # a along axis 0, wrapped for the widest window
+    A[K + 1 : K + 1 + n, 0] = a.reshape(n, lines)
+    _wrap(A, K)
+    top = np.full((n, lines), -np.inf)
+    per_chunk = ks.size if a.ndim == 1 else max(1, _BOX_CHUNK_POINTS // a.size)
+    for i in range(0, ks.size, per_chunk):
+        kc = ks[i : i + per_chunk]
+        k = int(kc[-1])
+        P = A[K - k : K + k + 1 + n]  # the same periodic rows, wrapped for this chunk
+        if a.ndim == 2:  # the axis-1 pass reads the axis-0 means transposed: Q[k + 1 + y, j, x] at (x, y)
+            Q = np.empty((n + 2 * k + 1, kc.size, n))
+            for x0, means in _box_means(P, kc, n):
+                Q[k + 1 : k + 1 + n, :, x0 : x0 + len(means)] = means.transpose(2, 1, 0)
+            P = _wrap(Q, k)
+        for x0, means in _box_means(P, kc, n):
+            part = top[x0 : x0 + len(means)]
+            np.maximum(part, means.max(axis=1), out=part)
+    return top
+
+
 def hl_maximal(f: GridFunction, variant: str = "centered", t: float = 1.0) -> GridFunction:
     """Pointwise sup of t-averages over cubes containing x.
 
     variant='dyadic' uses the anchored dyadic cube lattice only;
-    variant='centered' uses cubes centered at x with every lattice halfwidth.
+    variant='centered' uses cubes centered at x with every odd lattice
+    width w = 2k+1 < n, besides the point itself and the whole torus.  Per
+    width and axis, the mean sums the first window (x-k..x+k, wrapped) left
+    to right from 0.0, adds one (entering - leaving) difference per step,
+    and divides each running sum by w; a 2-D grid filters axis 0, then
+    axis 1.  This is scipy.ndimage.uniform_filter's arithmetic in
+    mode='wrap'.  A 1-D grid takes every width at once, a 2-D grid at most
+    _BOX_CHUNK_POINTS / n^2 widths at a time, and the running sums are
+    held _BOX_BLOCK_POINTS at a time.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -81,17 +189,9 @@ def hl_maximal(f: GridFunction, variant: str = "centered", t: float = 1.0) -> Gr
         for mu in range(depth + 1):
             np.maximum(acc, expand_blocks(block_reduce(a, mu), n), out=acc)
     elif variant == "centered":
-        from scipy import ndimage
-
         acc = a.copy()  # width-1 window: the point itself
         np.maximum(acc, a.mean(), out=acc)  # the whole torus
-        box = np.empty_like(a)
-        for w in range(3, n, 2):
-            # uniform_filter's own 1-D passes into one buffer, without its per-call set-up
-            src = a
-            for axis in range(a.ndim):
-                src = ndimage.uniform_filter1d(src, w, axis, box, mode="wrap")
-            np.maximum(acc, box, out=acc)
+        np.maximum(acc, _box_max(a).T.reshape(a.shape), out=acc)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return GridFunction.from_samples(f.grid, acc ** (1.0 / t))

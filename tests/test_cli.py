@@ -178,6 +178,34 @@ def test_audit_all_refuses_only_options_no_suite_reads(tmp_path, capsys, monkeyp
     assert json.loads((tmp_path / "out" / "audit-fourier-series.json").read_text())["params"]["n"] == 64
 
 
+@pytest.mark.parametrize("suite", sorted(_SUITES))
+def test_audit_refuses_every_key_its_suite_does_not_read(tmp_path, capsys, suite):
+    # a config key no chosen suite reads is refused before any work, with the suites that do read it
+    unread = sorted(key for key, readers in cli._SUITE_OPTIONS.items() if suite not in readers) + ["bogus"]
+    for key in unread:
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({key: 3}))
+        assert main(["audit", "--suite", suite, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        name = f"--{key}" if key in cli._AUDIT_FLAGS else f"config key {key!r}"
+        readers = sorted(cli._SUITE_OPTIONS.get(key, ()))
+        read_by = f"suites that read it: {', '.join(readers)}" if readers else "no suite reads it"
+        assert err == f"config error: {name} is not read by suite {suite!r}; {read_by}\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_audit_config_keys_reach_or_stop_the_run(tmp_path, capsys):
+    cfg = tmp_path / "khintchine.json"
+    cfg.write_text(json.dumps({"t": 3, "samples": 5000, "bogus": 1}))
+    assert main(["audit", "--suite", "khintchine", "--config", str(cfg), "--outdir", str(tmp_path / "none")]) == 2
+    assert capsys.readouterr().err.startswith("config error: config key 'bogus' is not read by suite 'khintchine'")
+    assert not (tmp_path / "none").exists()
+    cfg.write_text(json.dumps({"J": 8, "samples": 2000}))
+    assert main(["audit", "--suite", "all", "--trials", "2", "--config", str(cfg), "--outdir", str(tmp_path / "all")]) == 0
+    partition = json.loads((tmp_path / "all" / "audit-partition.json").read_text())
+    assert partition["effective_config"]["J"] == 8 and partition["effective_config"]["samples"] == 2000
+
+
 def test_audit_outside_hypothesis_passes_by_failing(tmp_path, monkeypatch):
     # a report flagged outside its hypothesis is a necessity run: detecting the failure is the pass
     def necessity(passed):
@@ -385,6 +413,36 @@ def test_import_loads_no_scipy():
     assert fresh["all"] == [name for names in _EXPORTED.values() for name in names]
     assert set(fresh["all"]) <= set(fresh["dir"])
     assert fresh["same"]
+
+
+_NO_SCIPY_AUDIT = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} imported by an audit")
+
+sys.meta_path.insert(0, NoScipy())
+from torusfs.cli import main
+code = main(sys.argv[1:])
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+sys.exit(code)
+"""
+
+
+def test_audit_all_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: every audit runs, and writes the same bytes, with it blocked
+    args = ["audit", "--suite", "all", "--seed", "0", "--outdir"]
+    blocked = _fresh_python("-c", _NO_SCIPY_AUDIT, *args, str(tmp_path / "blocked"))
+    assert blocked.returncode == 0, blocked.stderr
+    plain = _fresh_python("-m", "torusfs.cli", *args, str(tmp_path / "plain"))
+    assert plain.returncode == 0, plain.stderr
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert len(names) == 45
+    assert sorted(p.name for p in (tmp_path / "blocked").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
 
 
 def test_readme_commands_in_fresh_interpreters(tmp_path):

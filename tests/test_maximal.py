@@ -56,6 +56,66 @@ def test_centered_hl_matches_uniform_filter_loop(shape, t, seed):
     assert np.array_equal(hl_maximal(f, "centered", t).samples.real, _centered_reference(f, t))
 
 
+def _box_means_along_axis0(b, ks):
+    """Every block _box_means yields for b of shape (n, 1 or len(ks), lines), stacked in position order."""
+    n, k = b.shape[0], int(ks[-1])
+    P = np.empty((n + 2 * k + 1,) + b.shape[1:])
+    P[k + 1 : k + 1 + n] = b
+    blocks = [(x0, means.copy()) for x0, means in maximal._box_means(maximal._wrap(P, k), ks, n)]
+    assert [x0 for x0, _ in blocks] == list(np.cumsum([0] + [len(m) for _, m in blocks[:-1]]))
+    return np.concatenate([means for _, means in blocks])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(2**k,) for k in range(3, 12)] + [(n, n) for n in (8, 16, 32, 64)]),
+    kind=st.sampled_from(["zero", "sparse", "wide"]),
+    first=st.floats(0, 1),
+    last=st.floats(0, 1),
+    block_points=st.integers(1, 5000),
+    mask_points=st.integers(1, 5000),
+    seed=st.integers(0, 2**16),
+)
+def test_box_means_match_uniform_filter1d_at_every_width(shape, kind, first, last, block_points, mask_points, seed):
+    from scipy import ndimage
+
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        if kind == "zero":
+            return np.zeros(shape)
+        if kind == "sparse":
+            return np.where(rng.random(shape) < 0.9, 0.0, rng.random(shape))
+        return 10.0 ** rng.uniform(-150, 150, shape)  # 300 decades
+
+    n = shape[0]
+    # any run of two or more half-widths (a row of one sum is not a case _box_max makes)
+    k0 = 1 + int(first * (n // 2 - 3))
+    ks = np.arange(k0, k0 + 2 + int(last * (n // 2 - 2 - k0)))
+    a = draw(shape)
+    own = draw((n, ks.size) + shape[1:])  # an input per width, as the axis-1 pass of a 2-D grid reads
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maximal, "_BOX_BLOCK_POINTS", block_points)  # blocks from one row up
+        mp.setattr(maximal, "_BOX_CHUNK_POINTS", mask_points)  # first window sums from pieces of two widths up
+        shared = _box_means_along_axis0(a.reshape(n, 1, -1), ks)  # one input for every width
+        separate = _box_means_along_axis0(own.reshape(n, ks.size, -1), ks)
+    for j, k in enumerate(ks):
+        w = 2 * int(k) + 1
+        assert np.array_equal(shared[:, j].reshape(shape), ndimage.uniform_filter1d(a, w, 0, mode="wrap")), k
+        assert np.array_equal(separate[:, j].reshape(shape), ndimage.uniform_filter1d(own[:, j], w, 0, mode="wrap")), k
+
+
+@pytest.mark.parametrize("shape", [(1, 64), (1, 512), (2, 16), (2, 32)])
+def test_centered_hl_matches_in_small_chunks_and_blocks(monkeypatch, shape):
+    # the widths of a 2-D grid split into chunks of one, two, ... widths, and every block holds one to a few rows
+    f = random_function(make_grid(*shape), 7)
+    for chunk_points, block_points in [(1, 1), (2 * f.grid.n**2, 100), (5 * f.grid.n**2, 3000)]:
+        monkeypatch.setattr(maximal, "_BOX_CHUNK_POINTS", chunk_points)
+        monkeypatch.setattr(maximal, "_BOX_BLOCK_POINTS", block_points)
+        for t in (0.5, 2.0):
+            assert np.array_equal(hl_maximal(f, "centered", t).samples.real, _centered_reference(f, t))
+
+
 def test_hl_t_validation():
     g = make_grid(1, 32)
     f = random_function(g, 0)
