@@ -212,6 +212,32 @@ _SUITE_OPTIONS = {
 _AUDIT_FLAGS = {"trials", "n"}  # the audit-only flags; the other keys come from a config file
 _COMMON_KEYS = {"command", "suite", "seed"} | _LOCATION_KEYS
 
+# Command -> the keys it reads besides the common ones.  Every command other
+# than audit refuses any other key; audit refuses a key its chosen suites do not read.
+_COMMAND_KEYS = {
+    "norm": {"input", "space", "s", "p", "q", "J", "oversample"},
+    "apply": {"symbol", "input"},
+    "decompose": {"symbol", "n", "J"},
+    "audit": set(_SUITE_OPTIONS),
+    "experiment": {"name", "p", "q", "t", "m", "L", "draws", "spacing", "workers"},
+    "registry": set(),
+    "profiles": {"J"},
+    "make": {"function", "n", "d"},
+}
+
+
+def _refuse_unread(cfg, kind: str, label: str, chosen, readers: dict, flags=frozenset()) -> None:
+    """Raise on a key outside the common ones that none of ``chosen`` reads (each a ``kind``: suite or command).
+
+    ``readers`` maps a key to every suite or command that reads it; a key in ``flags`` is named as its flag.
+    """
+    for key in sorted(cfg.keys() - _COMMON_KEYS):
+        read_by = readers.get(key, set())
+        if not read_by.intersection(chosen):
+            name = f"--{key}" if key in flags else f"config key {key!r}"
+            listed = f"{kind}s that read it: {', '.join(sorted(read_by))}" if read_by else f"no {kind} reads it"
+            raise ValueError(f"{name} is not read by {kind} {label!r}; {listed}")
+
 
 # ---------------------------------------------------------------------------
 # command handlers
@@ -302,12 +328,7 @@ def _cmd_audit(cfg) -> int:
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)} or 'all'")
     names = list(_SUITES) if suite == "all" else [suite]
-    for key in sorted(cfg.keys() - _COMMON_KEYS):
-        readers = _SUITE_OPTIONS.get(key, set())
-        if not readers.intersection(names):
-            name = f"--{key}" if key in _AUDIT_FLAGS else f"config key {key!r}"
-            read_by = f"suites that read it: {', '.join(sorted(readers))}" if readers else "no suite reads it"
-            raise ValueError(f"{name} is not read by suite {suite!r}; {read_by}")
+    _refuse_unread(cfg, "suite", suite, names, _SUITE_OPTIONS, _AUDIT_FLAGS)
     if "trials" in cfg and int(cfg["trials"]) < 1:
         raise ValueError(f"trials must be >= 1, got {cfg['trials']}")
     status = 0
@@ -430,6 +451,9 @@ def run_config(cfg: dict) -> int:
     command = cfg.get("command")
     if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
+    if command != "audit":
+        readers = {key: {c for c, keys in _COMMAND_KEYS.items() if key in keys} for key in cfg}
+        _refuse_unread(cfg, "command", command, {command}, readers)
     cfg.setdefault("outdir", os.environ.get("TORUSFS_OUTDIR", "."))
     return _COMMANDS[command](cfg)
 

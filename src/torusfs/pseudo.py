@@ -13,7 +13,9 @@ kernels with their adjoint-side symbols, and the audits that measure the
 single-band operator-norm growth, the local L^2 energy decay, and the
 kernel weight bounds.  ``boundedness_region`` is the pure decision table
 for the mapping exponents.  The single-band and local-energy audits
-quantize each band piece once per call, so a probe costs one contraction.
+quantize each band piece once per call, and for an x-dependent symbol only
+on the frequency columns where a probe's spectrum is nonzero, so a probe
+costs one contraction and no n x n table is built.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -120,16 +122,16 @@ class Symbol:
         return np.asarray(self.fn(None, grid.freqs()), dtype=complex)
 
 
-def _symbol_table(a: Symbol, grid: Grid) -> np.ndarray:
-    """a on the product lattice (d = 1): shape (n_x, n_xi), xi in FFT order."""
+def _symbol_table(a: Symbol, grid: Grid, cols=slice(None)) -> np.ndarray:
+    """a on the product lattice (d = 1) at the FFT-ordered frequency columns ``cols``: shape (n_x, n_cols)."""
     if grid.dim != 1:
         raise ValueError("product-lattice tables are kept one-dimensional")
     if a.kind == "grid-sampled":
         if a.grid != grid:
             raise ValueError("table grid mismatch")
-        return a.table
+        return a.table[:, cols]
     x = grid.axis_coords()[:, None]
-    xi = grid.axis_freqs()[None, :]
+    xi = grid.axis_freqs()[cols][None, :]
     return np.asarray(a.fn((x,), (xi,)), dtype=complex)
 
 
@@ -173,11 +175,11 @@ def apply(a: Symbol, f: GridFunction, check: bool = True) -> GridFunction:
         return GridFunction.from_spectrum(grid, a.multiplier_values(grid) * f.spectrum)
     if check:
         oscillation_check(a, grid)
-    return _contract(_columns(a, grid, np.nonzero(f.spectrum)), f)
+    return _contract(_columns(lambda x, xi, sl: a.fn(x, xi), grid, np.nonzero(f.spectrum)), f)
 
 
-def _columns(a: Symbol, grid: Grid, nz):
-    """(slice of ``nz``, a(x, xi) e^{2 pi i <x, xi>} over those frequencies), at most 2^22 values a chunk."""
+def _columns(values, grid: Grid, nz):
+    """(slice of ``nz``, values(x, xi, sl) e^{2 pi i <x, xi>} over those frequencies), at most 2^22 values a chunk."""
     freqs = grid.axis_freqs()
     xi_vals = [freqs[idx] for idx in nz]
     x_b = tuple(v[..., None] for v in grid.coords())
@@ -186,7 +188,7 @@ def _columns(a: Symbol, grid: Grid, nz):
         sl = slice(start, start + chunk)
         xi_b = tuple(v[sl][(None,) * grid.dim + (slice(None),)] for v in xi_vals)
         phase = np.exp(2j * np.pi * sum(xb * kb for xb, kb in zip(x_b, xi_b)))
-        yield sl, np.asarray(a.fn(x_b, xi_b), dtype=complex) * phase
+        yield sl, np.asarray(values(x_b, xi_b, sl), dtype=complex) * phase
 
 
 def _contract(columns, f: GridFunction) -> GridFunction:
@@ -356,42 +358,37 @@ def band_symbol(a: Symbol, partition: LPPartition, k: int, grid: Grid) -> Symbol
             return mult(x, xi) * win
 
         return Symbol(fn=g, order=a.order, kind="multiplier", dim=a.dim, name=f"{a.name}|band{k}")
-    return _sampled_band(a, partition, k, grid, np.fft.fft(_symbol_table(a, grid), axis=0))
+    return Symbol.from_table(grid, _band_columns(a, partition, k, grid), a.order, name=f"{a.name}|band{k}")
 
 
-def _sampled_band(a: Symbol, partition: LPPartition, k: int, grid: Grid, ahat: np.ndarray) -> Symbol:
-    """band_symbol of an x-dependent a, from the x-FFT ``ahat`` of its table."""
-    low = _cum_lattice_window(partition, k - 3, grid)
+def _band_columns(a: Symbol, partition: LPPartition, k: int, grid: Grid, cols=slice(None)) -> np.ndarray:
+    """b_k of an x-dependent a at the frequency columns ``cols``: each column's x-spectrum cut below 2^(k-3), then windowed to band k."""
+    spec = np.fft.fft(_symbol_table(a, grid, cols), axis=0)
+    spec *= _cum_lattice_window(partition, k - 3, grid)[:, None]
     win = partition.window(grid, k) if k <= partition.J else 1.0 - _cum_lattice_window(partition, partition.J, grid)
-    smooth = np.fft.ifft(ahat * low[:, None], axis=0)
-    return Symbol.from_table(grid, smooth * win[None, :], a.order, name=f"{a.name}|band{k}")
+    out = np.fft.ifft(spec, axis=0)
+    out *= win[cols]
+    return out
 
 
 def _band_operators(a: Symbol, partition: LPPartition, grid: Grid):
     """op(k, g) == apply(band_symbol(a, partition, k, grid), g, check=False) to the bit, for k >= 3.
 
-    op keeps the x-FFT of a's table, each band's multiplier values or column chunks per support of g, and the last band's table.
+    op keeps each band's multiplier values, or for an x-dependent a each band's quantized column chunks per
+    support of g, built by ``_band_columns`` from a's columns on that support alone: no n x n table is made.
     """
     if a.dim != grid.dim:
         raise ValueError(f"symbol dim {a.dim} != grid dim {grid.dim}")
-    ahat = cache(lambda: np.fft.fft(_symbol_table(a, grid), axis=0))
-
-    @lru_cache(maxsize=None if a.kind == "multiplier" else 1)  # an audit draws each band's probes together
-    def band(k):  # the multiplier values, or the table-backed band symbol
-        if a.kind == "multiplier":
-            return band_symbol(a, partition, k, grid).multiplier_values(grid)
-        return _sampled_band(a, partition, k, grid, ahat())
+    if a.kind == "multiplier":
+        values = cache(lambda k: band_symbol(a, partition, k, grid).multiplier_values(grid))
+        return lambda k, g: GridFunction.from_spectrum(grid, values(k) * g.spectrum)
 
     @cache
     def columns(k, support):
-        return tuple(_columns(band(k), grid, np.unravel_index(np.frombuffer(support, dtype=np.intp), grid.shape)))
+        nz = np.unravel_index(np.frombuffer(support, dtype=np.intp), grid.shape)
+        return tuple(_columns(lambda x, xi, sl: _band_columns(a, partition, k, grid, nz[0][sl]), grid, nz))
 
-    def op(k, g):
-        if a.kind == "multiplier":
-            return GridFunction.from_spectrum(grid, band(k) * g.spectrum)
-        return _contract(columns(k, np.flatnonzero(g.spectrum).tobytes()), g)
-
-    return op
+    return lambda k, g: _contract(columns(k, np.flatnonzero(g.spectrum).tobytes()), g)
 
 
 def decompose_paradiff(a: Symbol, partition: LPPartition, grid: Grid | None = None) -> ParadiffDecomposition:
@@ -448,7 +445,7 @@ def decompose_paradiff(a: Symbol, partition: LPPartition, grid: Grid | None = No
     def piece(u):
         return Symbol.from_table(grid, np.fft.ifft(ahat * u, axis=0), a.order, name=a.name)
 
-    bands = {k: _sampled_band(a, partition, k, grid, ahat) for k in range(3, J + 2)}
+    bands = {k: band_symbol(a, partition, k, grid) for k in range(3, J + 2)}
     return ParadiffDecomposition((piece(u1), piece(u2), piece(u3)), bands)
 
 

@@ -206,6 +206,49 @@ def test_audit_config_keys_reach_or_stop_the_run(tmp_path, capsys):
     assert partition["effective_config"]["J"] == 8 and partition["effective_config"]["samples"] == 2000
 
 
+def _command_args(command, tmp_path, sample_input):
+    """A command line that runs ``command`` at small sizes, writing nothing outside tmp_path."""
+    out = str(tmp_path / "g.dat")
+    return {
+        "norm": ["--input", str(sample_input)],
+        "apply": ["--symbol", "bessel(0)", "--input", str(sample_input), "--output", out],
+        "decompose": ["--symbol", "bessel(0)", "--n", "64", "--J", "3"],
+        "experiment": ["--L", "3..4", "--draws", "1", "--seed", "5"],
+        "registry": [],
+        "profiles": ["--J", "3"],
+        "make": ["--function", "constant(1)", "--n", "16", "--output", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(set(cli._COMMAND_KEYS) - {"audit"}))
+def test_commands_refuse_every_key_they_do_not_read(tmp_path, capsys, sample_input, command):
+    # a key only other commands read, or none, is refused before any work, with the commands that do read it
+    args = _command_args(command, tmp_path, sample_input)
+    unread = sorted(set().union(*cli._COMMAND_KEYS.values()) - cli._COMMAND_KEYS[command]) + ["bogus"]
+    for key in unread:
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({key: 3}))
+        assert main([command, *args, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+        readers = sorted(c for c, keys in cli._COMMAND_KEYS.items() if key in keys)
+        read_by = f"commands that read it: {', '.join(readers)}" if readers else "no command reads it"
+        assert capsys.readouterr() == ("", f"config error: config key {key!r} is not read by command {command!r}; {read_by}\n")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "g.dat").exists()
+    assert main([command, *args, "--outdir", str(tmp_path / "out")]) == 0
+
+
+def test_command_config_keys_reach_or_stop_the_run(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"bogus": 1, "trials": 7}))
+    args = ["experiment", "--config", str(cfg), "--L", "3..4", "--draws", "1", "--seed", "5"]
+    assert main([*args, "--outdir", str(tmp_path / "none")]) == 2
+    assert capsys.readouterr().err == "config error: config key 'bogus' is not read by command 'experiment'; no command reads it\n"
+    assert not (tmp_path / "none").exists()
+    cfg.write_text(json.dumps({"L": "3..4", "draws": 1, "spacing": 2}))
+    assert main(["experiment", "--config", str(cfg), "--seed", "5", "--outdir", str(tmp_path / "run")]) == 0
+    report = json.loads((tmp_path / "run" / "experiment-fspace-growth.json").read_text())
+    assert report["effective_config"] == {"L": "3..4", "command": "experiment", "draws": 1, "seed": 5, "spacing": 2}
+
+
 def test_audit_outside_hypothesis_passes_by_failing(tmp_path, monkeypatch):
     # a report flagged outside its hypothesis is a necessity run: detecting the failure is the pass
     def necessity(passed):
