@@ -358,15 +358,15 @@ def band_symbol(a: Symbol, partition: LPPartition, k: int, grid: Grid) -> Symbol
             return mult(x, xi) * win
 
         return Symbol(fn=g, order=a.order, kind="multiplier", dim=a.dim, name=f"{a.name}|band{k}")
-    return Symbol.from_table(grid, _band_columns(a, partition, k, grid), a.order, name=f"{a.name}|band{k}")
+    ahat = np.fft.fft(_symbol_table(a, grid), axis=0)
+    return Symbol.from_table(grid, _band_columns(ahat, partition, k, grid), a.order, name=f"{a.name}|band{k}")
 
 
-def _band_columns(a: Symbol, partition: LPPartition, k: int, grid: Grid, cols=slice(None)) -> np.ndarray:
-    """b_k of an x-dependent a at the frequency columns ``cols``: each column's x-spectrum cut below 2^(k-3), then windowed to band k."""
-    spec = np.fft.fft(_symbol_table(a, grid, cols), axis=0)
-    spec *= _cum_lattice_window(partition, k - 3, grid)[:, None]
+def _band_columns(ahat: np.ndarray, partition: LPPartition, k: int, grid: Grid, cols=slice(None)) -> np.ndarray:
+    """b_k at the frequency columns ``cols`` from their x-spectrum ``ahat``: cut below 2^(k-3), windowed to band k."""
+    spec = ahat * _cum_lattice_window(partition, k - 3, grid)[:, None]
     win = partition.window(grid, k) if k <= partition.J else 1.0 - _cum_lattice_window(partition, partition.J, grid)
-    out = np.fft.ifft(spec, axis=0)
+    out = np.fft.ifft(spec, axis=0, out=spec)
     out *= win[cols]
     return out
 
@@ -386,7 +386,12 @@ def _band_operators(a: Symbol, partition: LPPartition, grid: Grid):
     @cache
     def columns(k, support):
         nz = np.unravel_index(np.frombuffer(support, dtype=np.intp), grid.shape)
-        return tuple(_columns(lambda x, xi, sl: _band_columns(a, partition, k, grid, nz[0][sl]), grid, nz))
+
+        def values(x, xi, sl):
+            ahat = np.fft.fft(_symbol_table(a, grid, nz[0][sl]), axis=0)
+            return _band_columns(ahat, partition, k, grid, nz[0][sl])
+
+        return tuple(_columns(values, grid, nz))
 
     return lambda k, g: _contract(columns(k, np.flatnonzero(g.spectrum).tobytes()), g)
 
@@ -422,8 +427,7 @@ def decompose_paradiff(a: Symbol, partition: LPPartition, grid: Grid | None = No
         raise ValueError("x-dependent symbols need an evaluation grid")
     if grid.dim != 1:
         raise ValueError("sampled decomposition is kept one-dimensional")
-    table = _symbol_table(a, grid)
-    ahat = np.fft.fft(table, axis=0)
+    ahat = np.fft.fft(_symbol_table(a, grid), axis=0)
 
     # cumulative x-window values per cut index, closed at the top
     cums = {K: _cum_lattice_window(partition, K, grid) for K in range(-1, J + 2)}
@@ -442,11 +446,12 @@ def decompose_paradiff(a: Symbol, partition: LPPartition, grid: Grid | None = No
         u3 += low * vk
     u2 = 1.0 - u1 - u3  # the diagonal groups |j - k| <= 2, since the windows sum to 1
 
-    def piece(u):
-        return Symbol.from_table(grid, np.fft.ifft(ahat * u, axis=0), a.order, name=a.name)
+    def table_symbol(table, name=a.name):
+        return Symbol.from_table(grid, table, a.order, name=name)
 
-    bands = {k: band_symbol(a, partition, k, grid) for k in range(3, J + 2)}
-    return ParadiffDecomposition((piece(u1), piece(u2), piece(u3)), bands)
+    pieces = tuple(table_symbol(np.fft.ifft(ahat * u, axis=0)) for u in (u1, u2, u3))
+    bands = {k: table_symbol(_band_columns(ahat, partition, k, grid), f"{a.name}|band{k}") for k in range(3, J + 2)}
+    return ParadiffDecomposition(pieces, bands)
 
 
 # ---------------------------------------------------------------------------

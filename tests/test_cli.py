@@ -153,7 +153,7 @@ def test_every_suite_honours_or_refuses_trials_and_n(tmp_path, capsys, suite, op
     # an audit flag either changes what a suite computes or stops the run before any work
     code = main(["audit", "--suite", suite, f"--{option}", value, "--outdir", str(tmp_path / "set")])
     err = capsys.readouterr().err
-    if suite not in cli._SUITE_OPTIONS[option]:
+    if option not in _SUITES[suite][1]:
         assert code == 2
         assert err.startswith(f"config error: --{option} is not read by suite {suite!r}; suites that read it: ")
         assert not (tmp_path / "set").exists()
@@ -181,14 +181,14 @@ def test_audit_all_refuses_only_options_no_suite_reads(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize("suite", sorted(_SUITES))
 def test_audit_refuses_every_key_its_suite_does_not_read(tmp_path, capsys, suite):
     # a config key no chosen suite reads is refused before any work, with the suites that do read it
-    unread = sorted(key for key, readers in cli._SUITE_OPTIONS.items() if suite not in readers) + ["bogus"]
+    unread = sorted(set().union(*(keys for _, keys in _SUITES.values())) - set(_SUITES[suite][1])) + ["bogus"]
     for key in unread:
         cfg = tmp_path / f"{key}.json"
         cfg.write_text(json.dumps({key: 3}))
         assert main(["audit", "--suite", suite, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        name = f"--{key}" if key in cli._AUDIT_FLAGS else f"config key {key!r}"
-        readers = sorted(cli._SUITE_OPTIONS.get(key, ()))
+        name = f"--{key}" if key in cli._COMMANDS["audit"][2] else f"config key {key!r}"
+        readers = sorted(name for name, (_, keys) in _SUITES.items() if key in keys)
         read_by = f"suites that read it: {', '.join(readers)}" if readers else "no suite reads it"
         assert err == f"config error: {name} is not read by suite {suite!r}; {read_by}\n"
         assert not (tmp_path / "out").exists()
@@ -220,16 +220,24 @@ def _command_args(command, tmp_path, sample_input):
     }[command]
 
 
-@pytest.mark.parametrize("command", sorted(set(cli._COMMAND_KEYS) - {"audit"}))
+def _command_keys():
+    """Command -> every key it reads, from the declarations: audit reads its own keys and every suite's."""
+    keys = {command: set(table) for command, (_, _, table) in cli._COMMANDS.items()}
+    keys["audit"].update(*(table for _, table in _SUITES.values()))
+    return keys
+
+
+@pytest.mark.parametrize("command", sorted(set(cli._COMMANDS) - {"audit"}))
 def test_commands_refuse_every_key_they_do_not_read(tmp_path, capsys, sample_input, command):
     # a key only other commands read, or none, is refused before any work, with the commands that do read it
     args = _command_args(command, tmp_path, sample_input)
-    unread = sorted(set().union(*cli._COMMAND_KEYS.values()) - cli._COMMAND_KEYS[command]) + ["bogus"]
+    command_keys = _command_keys()
+    unread = sorted(set().union(*command_keys.values()) - command_keys[command] - cli._LOCATION_KEYS) + ["bogus"]
     for key in unread:
         cfg = tmp_path / f"{key}.json"
         cfg.write_text(json.dumps({key: 3}))
         assert main([command, *args, "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
-        readers = sorted(c for c, keys in cli._COMMAND_KEYS.items() if key in keys)
+        readers = sorted(c for c, keys in command_keys.items() if key in keys)
         read_by = f"commands that read it: {', '.join(readers)}" if readers else "no command reads it"
         assert capsys.readouterr() == ("", f"config error: config key {key!r} is not read by command {command!r}; {read_by}\n")
         assert not (tmp_path / "out").exists() and not (tmp_path / "g.dat").exists()
@@ -249,6 +257,53 @@ def test_command_config_keys_reach_or_stop_the_run(tmp_path, capsys):
     assert report["effective_config"] == {"L": "3..4", "command": "experiment", "draws": 1, "seed": 5, "spacing": 2}
 
 
+@pytest.mark.parametrize("command", ["norm", "apply", "decompose", "registry", "profiles", "make"])
+def test_seed_flag_refused_where_nothing_reads_it(tmp_path, capsys, sample_input, command):
+    args = _command_args(command, tmp_path, sample_input)
+    assert main([command, *args, "--seed", "5", "--outdir", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --seed 5" in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "g.dat").exists()
+
+
+@pytest.mark.parametrize(
+    "args, cfg, message",
+    [
+        (["experiment", "--L", "3..4", "--draws", "1"], {"p": None}, "config key 'p' must be float, got null"),
+        (["experiment", "--L", "3..4"], {"draws": "many"}, 'config key \'draws\' must be int, got "many"'),
+        (["decompose", "--symbol", "sinsin"], {"n": None}, "config key 'n' must be int, got null"),
+        (["decompose", "--symbol", "sinsin"], {"J": [6]}, "config key 'J' must be int, got [6]"),
+        (["audit", "--suite", "frame"], {"trials": None}, "config key 'trials' must be int, got null"),
+        (["audit", "--suite", "peetre"], {"t": "wide"}, 'config key \'t\' must be float, got "wide"'),
+        (["audit", "--suite", "all"], {"samples": 1e400}, "config key 'samples' must be int, got Infinity"),
+        (["profiles"], {"outdir": None}, "config key 'outdir' must be str, got null"),
+    ],
+)
+def test_null_or_unconvertible_config_value_is_a_config_error(tmp_path, capsys, args, cfg, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    outdir = [] if "outdir" in cfg else ["--outdir", str(tmp_path / "out")]
+    assert main([*args, "--config", str(path), *outdir]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("top", ["[1, 2]", '"x"', "3", "null"])
+def test_config_top_level_must_be_an_object(tmp_path, capsys, top):
+    path = tmp_path / "c.json"
+    path.write_text(top)
+    assert main(["profiles", "--config", str(path), "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"config error: {path}: top level must be a JSON object\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, key", [("norm", "input"), ("apply", "symbol"), ("decompose", "symbol"), ("make", "function")])
+def test_missing_required_key_is_a_config_error(tmp_path, capsys, command, key):
+    assert main([command, "--outdir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr() == ("", f"config error: --{key} is required\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_audit_outside_hypothesis_passes_by_failing(tmp_path, monkeypatch):
     # a report flagged outside its hypothesis is a necessity run: detecting the failure is the pass
     def necessity(passed):
@@ -256,7 +311,7 @@ def test_audit_outside_hypothesis_passes_by_failing(tmp_path, monkeypatch):
         return lambda cfg: [rep]
 
     for passed, code in ((True, 1), (False, 0)):
-        monkeypatch.setattr(cli, "_SUITES", {"necessity": necessity(passed)})
+        monkeypatch.setattr(cli, "_SUITES", {"necessity": (necessity(passed), {})})
         assert main(["audit", "--suite", "necessity", "--outdir", str(tmp_path / str(passed))]) == code
 
 
@@ -264,7 +319,7 @@ def test_audit_all_isolates_a_raising_suite(tmp_path, monkeypatch, capsys):
     def boom(cfg):
         raise ValueError("radius 128.0 exceeds grid Nyquist 128.0")
 
-    monkeypatch.setattr(cli, "_SUITES", {"boom": boom, "partition": _SUITES["partition"]})
+    monkeypatch.setattr(cli, "_SUITES", {"boom": (boom, {}), "partition": _SUITES["partition"]})
     assert main(["audit", "--suite", "all", "--outdir", str(tmp_path)]) == 2
     assert (tmp_path / "audit-partition.json").exists()  # the suite after the raising one still ran
     err = capsys.readouterr().err.splitlines()

@@ -128,6 +128,20 @@ def test_paradiff_telescoping_random_table():
     assert np.max(np.abs(bsum - dec.pieces[2].table)) < 1e-10
 
 
+@pytest.mark.parametrize("name", ["sinsin", "table"])
+def test_paradiff_bands_equal_band_symbol(name):
+    # the decomposition reuses its own x-spectrum for its bands; each band is still band_symbol's to the bit
+    rng = np.random.default_rng(11)
+    tbl = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    a = Symbol.sin_sin() if name == "sinsin" else Symbol.from_table(G64, tbl, 0.0, "random")
+    dec = decompose_paradiff(a, P6, G64)
+    assert sorted(dec.bands) == list(range(3, P6.J + 2))
+    for k, b in dec.bands.items():
+        ref = band_symbol(a, P6, k, G64)
+        assert b.name == ref.name
+        assert np.array_equal(b.table, ref.table)
+
+
 def test_paradiff_multiplier():
     a = Symbol.bessel(-0.5)
     dec = decompose_paradiff(a, P6)
