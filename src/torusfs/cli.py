@@ -267,15 +267,11 @@ def _cmd_decompose(opts, cfg) -> int:
 
 
 def _cmd_audit(opts, cfg) -> int:
-    suite = opts["suite"]
-    if suite != "all" and suite not in _SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)} or 'all'")
-    names = list(_SUITES) if suite == "all" else [suite]
-    reads = {name: {**_AUDIT_KEYS, **keys} for name, (_, keys) in _SUITES.items()}
-    _refuse_unread(cfg, "suite", suite, names, reads, flags=_COMMANDS["audit"][2])
+    names = list(_SUITES) if opts["suite"] == "all" else [opts["suite"]]  # run_config has checked the name
     if opts["trials"] is not None and opts["trials"] < 1:
         raise ValueError(f"trials must be >= 1, got {opts['trials']}")
-    suite_opts = {name: _values(cfg, reads[name]) for name in names}  # every value checked before any suite runs
+    # every value checked before any suite runs
+    suite_opts = {name: _values(cfg, {**_AUDIT_KEYS, **_SUITES[name][1]}) for name in names}
     status = 0
     raised = []
     outdir = Path(opts["outdir"])
@@ -400,7 +396,7 @@ _AUDIT_KEYS = {"seed": 0, "suite": "partition"}  # audit's keys that every suite
 
 # Command -> (handler, help line, {key: default}) for each key it reads, in --help order; each key is also a
 # flag.  A default of ... marks a required key, None one computed from other inputs (audit's trials and n:
-# each suite's own default).  Besides these, every command takes its location keys and ``command``.
+# each suite's own default).  Besides these, every command takes ``outdir`` and ``command``.
 _COMMANDS = {
     "norm": (_cmd_norm, "evaluate a function-space norm of a dumped grid function",
              {"input": ..., "space": "F", "s": 0.0, "p": 2.0, "q": 2.0, "J": None, "oversample": 1}),
@@ -448,11 +444,11 @@ def _convert(key: str, value):
 
 
 def _refuse_unread(cfg, kind: str, label: str, chosen, reads: dict, flags=()) -> None:
-    """Raise on a key other than ``command`` and the location keys that none of ``chosen`` reads.
+    """Raise on a key other than ``command`` and ``outdir`` that none of ``chosen`` reads.
 
     ``reads`` maps each command or suite (a ``kind``) to the keys it reads; a key in ``flags`` is named as its flag.
     """
-    for key in sorted(cfg.keys() - _LOCATION_KEYS - {"command"}):
+    for key in sorted(cfg.keys() - {"outdir", "command"}):
         read_by = sorted(name for name, keys in reads.items() if key in keys)
         if set(read_by).isdisjoint(chosen):
             name = f"--{key}" if key in flags else f"config key {key!r}"
@@ -466,7 +462,13 @@ def run_config(cfg: dict) -> int:
     if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     handler, _, keys = _COMMANDS[command]
-    if command != "audit":  # audit refuses keys against its chosen suites
+    if command == "audit":  # audit refuses keys against its chosen suites, before it converts any other value
+        suite = _values(cfg, {"suite": _AUDIT_KEYS["suite"]})["suite"]
+        if suite != "all" and suite not in _SUITES:
+            raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITES)} or 'all'")
+        reads = {name: {**_AUDIT_KEYS, **table} for name, (_, table) in _SUITES.items()}
+        _refuse_unread(cfg, "suite", suite, _SUITES if suite == "all" else {suite}, reads, flags=keys)
+    else:
         reads = {name: set(table) for name, (_, _, table) in _COMMANDS.items()}
         reads["audit"].update(*(table for _, table in _SUITES.values()))
         _refuse_unread(cfg, "command", command, {command}, reads)

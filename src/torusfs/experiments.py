@@ -10,9 +10,12 @@ The two growth experiments drive the constructions against each other:
 the shell multiplier applied to the random atom trains (mixed-norm scale)
 and to the deterministic lacunary function (band-norm scale), measuring
 how the input and output norms grow with the number of active scales.
-Both are Monte Carlo over seeded draws; draws are independent tasks and
-reduce deterministically, so reports are byte-stable for a fixed seed set
-regardless of worker count.
+Both are Monte Carlo over seeded draws and run on one sweep engine
+(``_growth_sweep``): it checks the sweep before any work, sends one task
+per (top scale, draw) through one pool, largest scale first, and hands
+each scale's draw results back in draw order.  Each experiment keeps only
+its draw, its per-scale row and its pass rule, so reports are byte-stable
+for a fixed seed set regardless of worker count.
 
 Performance notes: everything is assembled sparsely on the frequency
 lattice.  Every window (band, base, train window and the lacunary sum)
@@ -79,18 +82,17 @@ _SIGNS_TAG = 101  # rng stream tags keep sign draws and cube draws independent
 _ATOMS_TAG = 202
 
 
-@dataclass(frozen=True)
-class LacunaryConfig:
-    """Scale map and frequency shells of the random-sign multiplier.
+@dataclass(frozen=True, kw_only=True)
+class _ScaleMap:
+    """Scale map shared by the multiplier and the trains.
 
-    Scales k = k0..L sit at dyadic heights zeta(k) = spacing * k; the k-th
-    shell holds the integer frequencies with 2^(zeta+2) <= |n| < 2^(zeta+3).
-    Shells are pairwise disjoint for any spacing >= 1.
+    Scales k = k0..L sit at dyadic heights zeta(k) = spacing * k in
+    dimension d.  Every field is keyword-only, so that no positional call
+    binds a value to another field.
     """
 
     L: int
     spacing: int = 2
-    m: float = 0.0
     seed: int = 0
     k0: int = 3
     d: int = 1
@@ -109,6 +111,18 @@ class LacunaryConfig:
     def scales(self) -> range:
         return range(self.k0, self.L + 1)
 
+
+@dataclass(frozen=True, kw_only=True)
+class LacunaryConfig(_ScaleMap):
+    """Frequency shells and order m of the random-sign multiplier.
+
+    The k-th shell holds the integer frequencies with
+    2^(zeta+2) <= |n| < 2^(zeta+3).  Shells are pairwise disjoint for any
+    spacing >= 1.
+    """
+
+    m: float = 0.0
+
     def shell_bounds(self, k: int) -> tuple:
         z = self.zeta(k)
         return (2 ** (z + 2), 2 ** (z + 3))
@@ -118,8 +132,8 @@ class LacunaryConfig:
         return self.shell_bounds(self.L)[1] + 2
 
 
-@dataclass(frozen=True)
-class RandomAtomConfig:
+@dataclass(frozen=True, kw_only=True)
+class RandomAtomConfig(_ScaleMap):
     """Activation and amplitude schedule of the random window trains.
 
     At scale k the dyadic cubes of side 2^-zeta(k) are activated
@@ -128,26 +142,12 @@ class RandomAtomConfig:
     geometric growth).
     """
 
-    L: int
-    spacing: int = 2
     p: float = 2.0
-    seed: int = 0
-    k0: int = 3
-    d: int = 1
 
     def __post_init__(self):
-        if self.spacing < 1:
-            raise ValueError("shell spacing must be >= 1")
-        if self.L < self.k0:
-            raise ValueError(f"L must be >= k0 = {self.k0}")
+        super().__post_init__()
         if not self.p > 0:
             raise ValueError(f"p must be > 0, got {self.p}")
-
-    def zeta(self, k: int) -> int:
-        return self.spacing * k
-
-    def scales(self) -> range:
-        return range(self.k0, self.L + 1)
 
     def activation(self, k: int) -> float:
         return 2.0 ** (-self.zeta(k) * self.d)
@@ -723,6 +723,16 @@ def _lq(norms: dict, q: float) -> float:
     return float(np.sum([norms[j] ** q for j in sorted(norms)]) ** (1.0 / q))
 
 
+def _moment(powers, e: float) -> float:
+    """(mean of the draws' e-th powers)^(1/e); for e = inf, the mean of the norms themselves."""
+    return float(np.mean(powers)) if np.isinf(e) else float(np.mean(powers) ** (1.0 / e))
+
+
+def _slope(rows, key: str) -> float:
+    """Growth slope of a table column against log2 of the active-scale count."""
+    return _fit_slope(np.log2([row["scales"] for row in rows]), [row[key] for row in rows])
+
+
 def _fspace_draw(args) -> tuple:
     lac, atoms, p, q, t, draw = args
     _tables_for(atoms.L)
@@ -742,38 +752,32 @@ def _fspace_draw(args) -> tuple:
     return (draw, in_norm**p, out_norm**p, uniq)
 
 
-def _run_tasks(worker, batches, workers: int) -> list:
-    """Sorted results of each (L, tasks) batch, every task through one pool.
-
-    Tasks go out one at a time, largest L first, so that the longest draws
-    do not trail at the end; results are regrouped by batch and sorted by
-    draw, so they do not depend on the worker count.
-    """
-    order = sorted(range(len(batches)), key=lambda i: -batches[i][0])
-    tasks = [task for i in order for task in batches[i][1]]
+def _run_tasks(worker, tasks: list, workers: int) -> list:
+    """worker(task) for each task, in order; through a pool that takes one task at a time when workers > 1."""
     _tables_for(None)  # pool workers start from the parent's memory: keep it free of lattices
     if workers <= 1:
-        flat = [worker(task) for task in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing: keep it out of start-up
+        return [worker(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing: keep it out of start-up
 
-        import numpy.fft  # noqa: F401  (numpy loads it lazily: loaded before the fork, so that workers inherit it)
+    import numpy.fft  # noqa: F401  (numpy loads it lazily: loaded before the fork, so that workers inherit it)
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(worker, tasks, chunksize=1))
-    results = iter(flat)
-    out = [None] * len(batches)
-    for i in order:
-        out[i] = sorted(next(results) for _ in batches[i][1])
-    return out
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, tasks, chunksize=1))
 
 
-def _check_sweep(lac: LacunaryConfig, atoms: RandomAtomConfig, L_list, draws: int, workers: int, **exponents) -> list:
-    """The top scales to sweep (default k0..L), once the sweep is known to be well posed.
+def _growth_sweep(lac, atoms, L_list, draws: int, workers: int, worker, task, **exponents) -> tuple:
+    """Run ``worker`` on every (top scale L, draw) of a growth sweep: (shared report params, table rows, draw results).
 
-    Both configurations must be one-dimensional and share the scale map,
-    every exponent must be > 0 (inf allowed), a moment needs at least one
-    draw and a growth slope two top scales, and the pool at least one worker.
+    The sweep is checked before any work: both configurations must be
+    one-dimensional and share the scale map, every exponent must be > 0
+    (inf allowed), a moment needs at least one draw and a growth slope two
+    top scales (default k0..L), and the pool at least one worker.  Then
+    ``task(lac_L, atoms_L)`` gives each L's draw arguments before the draw
+    index, and the entries its table row takes from the parent.  One task
+    per (L, draw) goes out, largest L first, so that the longest draws do
+    not trail at the end.  Rows (L, scale count and those entries) and the
+    lists of each L's draw results, in draw order, follow L_list, so they
+    do not depend on the worker count.
     """
     if lac.d != 1 or atoms.d != 1:
         raise ValueError("growth experiments are one-dimensional")
@@ -789,7 +793,15 @@ def _check_sweep(lac: LacunaryConfig, atoms: RandomAtomConfig, L_list, draws: in
     L_list = list(range(lac.k0, lac.L + 1)) if L_list is None else list(L_list)
     if len(L_list) < 2:
         raise ValueError(f"L_list needs at least two top scales to fit a growth slope, got {L_list}")
-    return L_list
+    tasks = [task(replace(lac, L=L), replace(atoms, L=L)) for L in L_list]
+    order = sorted(range(len(L_list)), key=lambda i: -L_list[i])
+    flat = iter(_run_tasks(worker, [(*tasks[i][0], draw) for i in order for draw in range(draws)], workers))
+    results = [None] * len(L_list)
+    for i in order:
+        results[i] = [next(flat) for _ in range(draws)]
+    params = dict(exponents, m=lac.m, spacing=lac.spacing, k0=lac.k0, L_list=L_list, draws=draws, seed=lac.seed)
+    rows = [{"L": L, "scales": L - lac.k0 + 1, **entries} for L, (_, entries) in zip(L_list, tasks)]
+    return params, rows, results
 
 
 def fspace_growth_experiment(
@@ -813,46 +825,31 @@ def fspace_growth_experiment(
     output exponent about 1/t.  Also records the empirical floor of the
     single-active-cube probability per scale.
     """
-    L_list = _check_sweep(lac, atoms, L_list, draws, workers, p=p, q=q, t=t)
     if np.isinf(p):  # each draw returns its norms to the power p for the p-th moment
         raise ValueError(f"p must be finite for the p-th moment, got {p}")
-    rows = []
+    params, rows, results = _growth_sweep(
+        lac, atoms, L_list, draws, workers, _fspace_draw, lambda *configs: ((*configs, p, q, t), {}), p=p, q=q, t=t
+    )
     draw_rows = []
-    counts, in_vals, out_vals = [], [], []
     floor_min = np.inf
-    batches = [
-        (L, [(replace(lac, L=L), replace(atoms, L=L), p, q, t, draw) for draw in range(draws)])
-        for L in L_list
-    ]
-    for L, results in zip(L_list, _run_tasks(_fspace_draw, batches, workers)):
-        atoms_L = replace(atoms, L=L)
+    for row, res in zip(rows, results):
+        atoms_L = replace(atoms, L=row["L"])
         draw_rows.extend(
-            {"L": L, "draw": r[0], "input_norm": r[1] ** (1.0 / p), "output_norm": r[2] ** (1.0 / p)}
-            for r in results
+            {"L": row["L"], "draw": r[0], "input_norm": r[1] ** (1.0 / p), "output_norm": r[2] ** (1.0 / p)}
+            for r in res
         )
-        in_p = float(np.mean([r[1] for r in results]) ** (1.0 / p))
-        out_p = float(np.mean([r[2] for r in results]) ** (1.0 / p))
-        uniq = np.mean(np.array([r[3] for r in results], dtype=float), axis=0)
+        uniq = np.mean(np.array([r[3] for r in res], dtype=float), axis=0)
         for k, freq in zip(atoms_L.scales(), uniq):
             card = 2 ** (atoms_L.zeta(k) * atoms_L.d)
             floor_min = min(floor_min, freq / (card * atoms_L.activation(k)))
-        count = L - lac.k0 + 1
-        counts.append(count)
-        in_vals.append(in_p)
-        out_vals.append(out_p)
-        rows.append({"L": L, "scales": count, "input_norm": in_p, "output_norm": out_p})
-    in_slope = _fit_slope(np.log2(counts), in_vals)
-    out_slope = _fit_slope(np.log2(counts), out_vals)
-    passed = (in_slope <= 1.0 / p + tol) and (out_slope >= 1.0 / t - tol)
+        row.update(input_norm=_moment([r[1] for r in res], p), output_norm=_moment([r[2] for r in res], p))
+    in_slope, out_slope = _slope(rows, "input_norm"), _slope(rows, "output_norm")
     return AuditReport(
         name="mixed-norm-growth",
-        params={
-            "p": p, "q": q, "t": t, "m": lac.m, "spacing": lac.spacing, "k0": lac.k0,
-            "L_list": list(L_list), "draws": draws, "seed": lac.seed, "atom_seed": atoms.seed, "tol": tol,
-        },
-        constant=out_vals[-1] / max(in_vals[-1], 1e-300),
+        params={**params, "atom_seed": atoms.seed, "tol": tol},
+        constant=rows[-1]["output_norm"] / max(rows[-1]["input_norm"], 1e-300),
         table=rows,
-        passed=passed,
+        passed=(in_slope <= 1.0 / p + tol) and (out_slope >= 1.0 / t - tol),
         tolerance=tol,
         details={
             "input_slope": in_slope,
@@ -866,7 +863,7 @@ def fspace_growth_experiment(
     )
 
 
-def _bspace_draw(args) -> tuple:
+def _bspace_draw(args) -> float:
     lac, zc_pairs, t, draw = args
     _tables_for(lac.L)
     grid = Grid(1, 2 ** (lac.zeta(lac.L) + 5))
@@ -882,8 +879,7 @@ def _bspace_draw(args) -> tuple:
     spec = radial_window(grid, ("lacunary", zc_pairs), lacunary, -1.0, np.inf)
     mult = multiplier_on_lattice(lac, grid, draw)
     mult *= spec
-    norms = _band_lp_norms(mult)
-    return (draw, norms)
+    return _lq(_band_lp_norms(mult), t)
 
 
 def bspace_growth_experiment(
@@ -912,53 +908,37 @@ def bspace_growth_experiment(
     """
     if p != 2.0:
         raise ValueError("the band-norm experiment is pinned to p = 2 (spectral evaluation)")
-    L_list = _check_sweep(lac, atoms, L_list, draws, workers, p=p, q=q, t=t)
-    designed_eps = 1.0 / t - 1.0 / q
-    rows = []
-    draw_rows = []
-    counts, in_vals, out_vals = [], [], []
-    raw_ins, batches = [], []
-    for L in L_list:
-        _tables_for(L)
-        lac_L = replace(lac, L=L)
-        atoms_L = replace(atoms, L=L)
-        grid_in = Grid(1, 2 ** (atoms_L.zeta(L) + 6))
+
+    def task(lac_L, atoms_L):
+        _tables_for(lac_L.L)
+        grid_in = Grid(1, 2 ** (atoms_L.zeta(atoms_L.L) + 6))
         coeffs = lacunary_coeffs(atoms_L, q)
         raw_in = _lq(_band_lp_norms(lacunary_test_function(atoms_L, grid_in, coeffs=coeffs).spectrum), q)
         coeffs = {k: c / raw_in for k, c in coeffs.items()}  # calibrate the input norm to 1
-        raw_ins.append(raw_in)
-        in_vals.append(_lq(_band_lp_norms(lacunary_test_function(atoms_L, grid_in, coeffs=coeffs).spectrum), q))
+        in_norm = _lq(_band_lp_norms(lacunary_test_function(atoms_L, grid_in, coeffs=coeffs).spectrum), q)
         zc_pairs = tuple((atoms_L.zeta(k), coeffs[k]) for k in atoms_L.scales())
-        batches.append((L, [(lac_L, zc_pairs, t, draw) for draw in range(draws)]))
-    for L, raw_in, in_norm, results in zip(L_list, raw_ins, in_vals, _run_tasks(_bspace_draw, batches, workers)):
-        moments = []
-        for draw, norms in results:
-            val = _lq(norms, t)
-            draw_rows.append({"L": L, "draw": draw, "output_norm": val})
-            moments.append(val**t if not np.isinf(t) else val)
-        out_norm = float(np.mean(moments) ** (1.0 / t)) if not np.isinf(t) else float(np.mean(moments))
-        count = L - lac.k0 + 1
-        counts.append(count)
-        out_vals.append(out_norm)
-        rows.append({"L": L, "scales": count, "input_norm": in_norm, "raw_input_norm": raw_in, "output_norm": out_norm})
-    in_drift = _drift(in_vals)
-    out_slope = _fit_slope(np.log2(counts), out_vals)
-    passed = in_drift <= 0.10 and out_slope >= designed_eps - tol
+        return (lac_L, zc_pairs, t), {"input_norm": in_norm, "raw_input_norm": raw_in}
+
+    params, rows, results = _growth_sweep(lac, atoms, L_list, draws, workers, _bspace_draw, task, p=p, q=q, t=t)
+    draw_rows = []
+    for row, res in zip(rows, results):
+        draw_rows.extend({"L": row["L"], "draw": draw, "output_norm": v} for draw, v in enumerate(res))
+        row["output_norm"] = _moment([v if np.isinf(t) else v**t for v in res], t)
+    in_drift = _drift([row["input_norm"] for row in rows])
+    out_slope = _slope(rows, "output_norm")
+    designed_eps = 1.0 / t - 1.0 / q
     return AuditReport(
         name="band-norm-growth",
-        params={
-            "p": p, "q": q, "t": t, "m": lac.m, "spacing": lac.spacing, "k0": lac.k0,
-            "L_list": list(L_list), "draws": draws, "seed": lac.seed, "coeff_mode": "flat", "tol": tol,
-        },
-        constant=out_vals[-1],
+        params={**params, "coeff_mode": "flat", "tol": tol},
+        constant=rows[-1]["output_norm"],
         table=rows,
-        passed=passed,
+        passed=in_drift <= 0.10 and out_slope >= designed_eps - tol,
         tolerance=tol,
         details={
             "input_drift": in_drift,
             "output_slope": out_slope,
             "designed_exponent": designed_eps,
             "draw_rows": draw_rows,
-            "coefficients_recorded": {str(k): v for k, v in lacunary_coeffs(replace(atoms, L=L_list[-1]), q).items()},
+            "coefficients_recorded": {str(k): v for k, v in lacunary_coeffs(replace(atoms, L=rows[-1]["L"]), q).items()},
         },
     )

@@ -328,6 +328,17 @@ def _cum_lattice_window(partition: LPPartition, K: int, grid: Grid) -> np.ndarra
     return scatter(grid, table)
 
 
+def _windowed(a: Symbol, partition: LPPartition, lo: int, hi: int, name: str) -> Symbol:
+    """The multiplier a times the xi-windows lo..hi, closed at the top (window J+1 takes every radius above)."""
+
+    def g(x, xi):
+        r = np.sqrt(sum(np.asarray(v, dtype=float) ** 2 for v in xi))
+        win = _cum_window(partition, hi, r) - _cum_window(partition, lo - 1, r)
+        return a.fn(x, xi) * win
+
+    return Symbol(fn=g, order=a.order, kind="multiplier", dim=a.dim, name=name)
+
+
 @dataclass
 class ParadiffDecomposition:
     """Three interaction pieces (high-low, diagonal, low-high) and the low-high band symbols.
@@ -347,17 +358,7 @@ def band_symbol(a: Symbol, partition: LPPartition, k: int, grid: Grid) -> Symbol
     if k < 3:
         raise ValueError("band symbols start at k = 3")
     if a.kind == "multiplier":
-        mult = a.fn
-
-        def g(x, xi):
-            r = np.sqrt(sum(np.asarray(v, dtype=float) ** 2 for v in xi))
-            if k <= partition.J:
-                win = partition.profile(k, r)
-            else:
-                win = 1.0 - partition.partial_sum(partition.J, r)
-            return mult(x, xi) * win
-
-        return Symbol(fn=g, order=a.order, kind="multiplier", dim=a.dim, name=f"{a.name}|band{k}")
+        return _windowed(a, partition, k, k, f"{a.name}|band{k}")
     ahat = np.fft.fft(_symbol_table(a, grid), axis=0)
     return Symbol.from_table(grid, _band_columns(ahat, partition, k, grid), a.order, name=f"{a.name}|band{k}")
 
@@ -365,7 +366,7 @@ def band_symbol(a: Symbol, partition: LPPartition, k: int, grid: Grid) -> Symbol
 def _band_columns(ahat: np.ndarray, partition: LPPartition, k: int, grid: Grid, cols=slice(None)) -> np.ndarray:
     """b_k at the frequency columns ``cols`` from their x-spectrum ``ahat``: cut below 2^(k-3), windowed to band k."""
     spec = ahat * _cum_lattice_window(partition, k - 3, grid)[:, None]
-    win = partition.window(grid, k) if k <= partition.J else 1.0 - _cum_lattice_window(partition, partition.J, grid)
+    win = _cum_lattice_window(partition, k, grid) - _cum_lattice_window(partition, k - 1, grid)
     out = np.fft.ifft(spec, axis=0, out=spec)
     out *= win[cols]
     return out
@@ -407,19 +408,9 @@ def decompose_paradiff(a: Symbol, partition: LPPartition, grid: Grid | None = No
     """
     J = partition.J
     if a.kind == "multiplier":
-        mult = a.fn
-
-        def windowed(val_fn, lo, hi):
-            def g(x, xi):
-                r = np.sqrt(sum(np.asarray(v, dtype=float) ** 2 for v in xi))
-                win = _cum_window(partition, hi, r) - _cum_window(partition, lo - 1, r)
-                return val_fn(x, xi) * win
-
-            return Symbol(fn=g, order=a.order, kind="multiplier", dim=a.dim, name=a.name)
-
         zero = Symbol.multiplier(lambda *xi: np.zeros(np.broadcast(*xi).shape, dtype=complex), a.order, a.dim, "0")
-        a2 = windowed(mult, 0, 2)
-        a3 = windowed(mult, 3, J + 1)
+        a2 = _windowed(a, partition, 0, 2, a.name)
+        a3 = _windowed(a, partition, 3, J + 1, a.name)
         bands = {k: band_symbol(a, partition, k, grid or Grid(a.dim, 8)) for k in range(3, J + 2)}
         return ParadiffDecomposition((zero, a2, a3), bands)
 
@@ -431,15 +422,11 @@ def decompose_paradiff(a: Symbol, partition: LPPartition, grid: Grid | None = No
 
     # cumulative x-window values per cut index, closed at the top
     cums = {K: _cum_lattice_window(partition, K, grid) for K in range(-1, J + 2)}
-    xi_windows = {}
-    for k in range(J + 2):
-        xi_windows[k] = cums[k] - cums[k - 1] if k <= J else 1.0 - cums[J]
-
     u1 = np.zeros((grid.n, grid.n))
     u2 = np.zeros((grid.n, grid.n))
     u3 = np.zeros((grid.n, grid.n))
     for k in range(J + 2):
-        vk = xi_windows[k][None, :]
+        vk = (cums[k] - cums[k - 1])[None, :]  # the xi-window of band k
         high = (1.0 - cums[min(k + 2, J + 1)])[:, None]  # j >= k+3
         low = cums[min(max(k - 3, -1), J + 1)][:, None]  # j <= k-3
         u1 += high * vk

@@ -232,7 +232,7 @@ def test_commands_refuse_every_key_they_do_not_read(tmp_path, capsys, sample_inp
     # a key only other commands read, or none, is refused before any work, with the commands that do read it
     args = _command_args(command, tmp_path, sample_input)
     command_keys = _command_keys()
-    unread = sorted(set().union(*command_keys.values()) - command_keys[command] - cli._LOCATION_KEYS) + ["bogus"]
+    unread = sorted(set().union(*command_keys.values()) - command_keys[command]) + ["bogus"]
     for key in unread:
         cfg = tmp_path / f"{key}.json"
         cfg.write_text(json.dumps({key: 3}))
@@ -255,6 +255,33 @@ def test_command_config_keys_reach_or_stop_the_run(tmp_path, capsys):
     assert main(["experiment", "--config", str(cfg), "--seed", "5", "--outdir", str(tmp_path / "run")]) == 0
     report = json.loads((tmp_path / "run" / "experiment-fspace-growth.json").read_text())
     assert report["effective_config"] == {"L": "3..4", "command": "experiment", "draws": 1, "seed": 5, "spacing": 2}
+
+
+@pytest.mark.parametrize(
+    "key, value, read_by",
+    [("output", "x.dat", "commands that read it: apply, make"), ("config", "other.json", "no command reads it")],
+)
+def test_output_and_config_keys_refused_where_nothing_reads_them(tmp_path, capsys, key, value, read_by):
+    # outdir is taken by every command; output only by the commands that write to it, and config by none
+    cfg = tmp_path / "o.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["profiles", "--J", "3", "--config", str(cfg), "--outdir", str(tmp_path / "po")]) == 2
+    assert capsys.readouterr().err == f"config error: config key {key!r} is not read by command 'profiles'; {read_by}\n"
+    assert not (tmp_path / "po").exists() and not (tmp_path / value).exists()
+    cfg.write_text(json.dumps({"outdir": str(tmp_path / "po")}))
+    assert main(["profiles", "--J", "3", "--config", str(cfg)]) == 0
+    assert (tmp_path / "po" / "partition-profiles.csv").exists()
+
+
+def test_audit_refuses_an_unread_key_before_converting_values(tmp_path, capsys):
+    # a null value of a key the chosen suite does not read is refused as unread, not as unconvertible
+    cfg = tmp_path / "c.json"
+    readers = ", ".join(sorted(name for name, (_, keys) in _SUITES.items() if "trials" in keys))
+    for trials in (None, 3):
+        cfg.write_text(json.dumps({"trials": trials}))
+        assert main(["audit", "--suite", "kernel", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: --trials is not read by suite 'kernel'; suites that read it: {readers}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["norm", "apply", "decompose", "registry", "profiles", "make"])

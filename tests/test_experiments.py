@@ -37,6 +37,12 @@ def test_config_validation():
         LacunaryConfig(L=2, k0=3)
     with pytest.raises(ValueError):
         LacunaryConfig(L=5, spacing=0)
+    # both configurations share one scale map: the same checks, and keyword-only fields
+    for config in (LacunaryConfig, RandomAtomConfig):
+        with pytest.raises(ValueError, match="d must be 1 or 2"):
+            config(L=4, d=3)
+        with pytest.raises(TypeError):
+            config(5, 2, 0.5)
     cfg = LacunaryConfig(L=5, spacing=2)
     assert list(cfg.scales()) == [3, 4, 5]
     assert cfg.shell_bounds(3) == (2**8, 2**9)
@@ -454,6 +460,19 @@ def test_growth_reports_identical_serial_and_pooled():
         serial = experiment(lac, atoms, 2.0, 2.0, 1.0, draws=4, L_list=[3, 4, 5], workers=1)
         pooled = experiment(lac, atoms, 2.0, 2.0, 1.0, draws=4, L_list=[3, 4, 5], workers=2)
         assert serial.to_json() == pooled.to_json()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("experiment", [fspace_growth_experiment, bspace_growth_experiment])
+def test_growth_rows_follow_the_order_of_L_list(experiment, workers):
+    # each top scale's row and draws do not depend on where it stands in L_list
+    lac, atoms = LacunaryConfig(L=5, spacing=2, seed=3), RandomAtomConfig(L=5, spacing=2, seed=3)
+    ascending = experiment(lac, atoms, 2.0, 2.0, 1.0, draws=2, L_list=[3, 4, 5], workers=workers)
+    shuffled = experiment(lac, atoms, 2.0, 2.0, 1.0, draws=2, L_list=[5, 3, 4], workers=workers)
+    assert shuffled.params["L_list"] == [5, 3, 4]
+    assert shuffled.table == [ascending.table[i] for i in (2, 0, 1)]
+    draws = ascending.details["draw_rows"]
+    assert shuffled.details["draw_rows"] == [row for L in (5, 3, 4) for row in draws if row["L"] == L]
 
 
 def _dense_radii(n):

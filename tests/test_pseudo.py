@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from torusfs import pseudo
 from torusfs.grid import GridFunction, make_grid
 from torusfs.littlewood_paley import build_partition
 from torusfs.maximal import band_limited_function
@@ -140,6 +142,34 @@ def test_paradiff_bands_equal_band_symbol(name):
         ref = band_symbol(a, P6, k, G64)
         assert b.name == ref.name
         assert np.array_equal(b.table, ref.table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    J=st.integers(3, 7),
+    band=st.integers(0, 4),
+    order=st.sampled_from([0.0, -0.5, 0.3]),
+    xi=st.lists(st.floats(-600.0, 600.0, allow_nan=False), min_size=1, max_size=12),
+)
+def test_multiplier_band_symbol_keeps_its_window_off_the_lattice(J, band, order, xi):
+    # band k <= J is profile k, and the closure band J + 1 is 1 - partial_sum(J), at any real xi
+    part = build_partition(J)
+    k = min(3 + band, J + 1)
+    a = Symbol.bessel(order)
+    xi = np.array(xi)
+    zeros = np.zeros(len(xi))
+    win = part.profile(k, np.sqrt(xi**2)) if k <= J else 1.0 - part.partial_sum(J, np.sqrt(xi**2))
+    got = band_symbol(a, part, k, G64).fn((zeros,), (xi,))
+    assert np.array_equal(got, a.fn((zeros,), (xi,)) * win)
+
+
+@pytest.mark.parametrize("n, J", [(64, 3), (64, 6), (256, 6), (512, 7), (1024, 5)])
+def test_lattice_band_window_is_a_difference_of_cumulative_windows(n, J):
+    grid, part = make_grid(1, n), build_partition(J)
+    for k in range(J + 2):
+        win = pseudo._cum_lattice_window(part, k, grid) - pseudo._cum_lattice_window(part, k - 1, grid)
+        ref = part.window(grid, k) if k <= J else 1.0 - pseudo._cum_lattice_window(part, J, grid)
+        assert np.array_equal(win, ref)
 
 
 def test_paradiff_multiplier():
