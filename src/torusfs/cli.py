@@ -75,6 +75,8 @@ def _suite_peetre(opts):
     t, d = opts["t"], opts["d"]
     if not t > 0:  # the sigmas below divide by t
         raise ValueError("sigma and t must be positive")
+    if not t < 2 * d:
+        raise ValueError(f"t must be in (0, 2d) = (0, {2 * d}): the necessity run's sigma = d/t - 1/2 must be positive")
     sigmas = (d / t + 0.5, d / t - 0.5)
     return maximal.audit_peetre_domination(sigmas=sigmas, t=t, d=d, seed=opts["seed"], trials=opts["trials"])
 

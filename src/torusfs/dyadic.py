@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DyadicCube", "block_reduce", "expand_blocks", "grid_depth"]
+__all__ = ["DyadicCube", "block_reduce", "cube_blocks", "expand_blocks", "grid_depth"]
 
 
 @dataclass(frozen=True)
@@ -54,14 +54,19 @@ def grid_depth(n: int) -> int:
     return depth
 
 
-def block_reduce(arr: np.ndarray, mu: int, op=np.mean) -> np.ndarray:
-    """Reduce an (n,)*d array over dyadic blocks at scale mu -> (2^mu,)*d."""
-    n = arr.shape[0]
+def cube_blocks(arr: np.ndarray, mu: int, dim: int) -> np.ndarray:
+    """View arr's last dim axes, n long each, as (2^mu, n / 2^mu) pairs: [..., i, a, j, b] is cube (i, j)'s sample (a, b)."""
+    n = arr.shape[-1]
     m = 2**mu
     b = n // m
     if m * b != n:
         raise ValueError(f"scale {mu} not resolved by n={n}")
-    return op(arr.reshape((m, b) * arr.ndim), axis=tuple(range(1, 2 * arr.ndim, 2)))
+    return arr.reshape(arr.shape[: arr.ndim - dim] + (m, b) * dim)
+
+
+def block_reduce(arr: np.ndarray, mu: int, op=np.mean) -> np.ndarray:
+    """Reduce an (n,)*d array over dyadic blocks at scale mu -> (2^mu,)*d."""
+    return op(cube_blocks(arr, mu, arr.ndim), axis=tuple(range(1, 2 * arr.ndim, 2)))
 
 
 def expand_blocks(blocks: np.ndarray, n: int) -> np.ndarray:

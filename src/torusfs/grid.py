@@ -34,6 +34,8 @@ __all__ = [
     "GridFunction",
     "make_grid",
     "convolve",
+    "inverse_lines",
+    "lp_norms",
     "save_gridfunction",
     "load_gridfunction",
 ]
@@ -152,7 +154,7 @@ class GridFunction:
     @property
     def samples(self) -> np.ndarray:
         if self._samples is None:
-            s = np.fft.ifftn(self._spectrum) * (self.grid.size / self.grid.period**self.grid.dim)
+            s = inverse_lines(self.grid, self._spectrum)
             s.flags.writeable = False
             self._samples = s
         return self._samples
@@ -201,16 +203,30 @@ class GridFunction:
         combined with small p).
         """
         f = self if oversample == 1 else upsample(self, oversample)
-        a = np.abs(f.samples)
-        if np.isinf(p):
-            return float(a.max())
-        if p <= 0:
-            raise ValueError("p must be positive")
-        return float((np.sum(a**p) * f.grid.cell_volume) ** (1.0 / p))
+        return lp_norms(f.grid, np.abs(f.samples)[None], p)[0]
 
     def shifted(self, offsets: tuple) -> "GridFunction":
         """Translate by an integer number of lattice cells (periodically)."""
         return GridFunction.from_samples(self.grid, np.roll(self.samples, offsets, axis=tuple(range(self.grid.dim))))
+
+
+def inverse_lines(grid: Grid, spectrum: np.ndarray) -> np.ndarray:
+    """Samples of a spectrum, or of each line of a stack (lines, *grid.shape), by one inverse FFT.
+
+    Each line gets the transform and the scaling of GridFunction.samples,
+    which calls this with a single spectrum, so the bits are the same.
+    """
+    return np.fft.ifftn(spectrum, axes=tuple(range(-grid.dim, 0))) * (grid.size / grid.period**grid.dim)
+
+
+def lp_norms(grid: Grid, a: np.ndarray, p: float) -> list:
+    """L^p quasi-norm by Riemann sum of each line of a stack a of |f| samples, shape (lines, *grid.shape)."""
+    axes = tuple(range(1, grid.dim + 1))
+    if np.isinf(p):
+        return [float(m) for m in a.max(axis=axes)]
+    if p <= 0:
+        raise ValueError("p must be positive")
+    return [float((s * grid.cell_volume) ** (1.0 / p)) for s in np.sum(a**p, axis=axes)]
 
 
 def make_grid(dim: int, n: int, period: float = 1.0) -> Grid:

@@ -581,7 +581,7 @@ def audit_single_band(
             mask = (radii > 2.0 ** (k - 1)) & (radii < 2.0 ** (k + 1))
             best = float(vals[mask].max())
         else:
-            best = _best(range(trials), partial(ratio, k))
+            best = _best(map(partial(ratio, k), range(trials)))
         ratios.append(best)
         rows.append({"band": k, "ratio": best})
     slope = _fit_slope(ks, ratios)
@@ -647,7 +647,7 @@ def audit_local_energy(
         local = np.sqrt(block_reduce(np.abs(out.samples) ** 2, mu))
         return float(local.max()) / (2.0 ** (k * (m + d / 2.0)) * sup)
 
-    rows = [{"mu": mu, "k": k, "ratio": _best(range(trials), partial(ratio, mu, k))} for mu, k in pairs]
+    rows = [{"mu": mu, "k": k, "ratio": _best(map(partial(ratio, mu, k), range(trials)))} for mu, k in pairs]
     sup_c = max(row["ratio"] / 2.0 ** (-eps * (row["k"] - row["mu"])) for row in rows)
     slope = _fit_slope([row["k"] - row["mu"] for row in rows], [row["ratio"] for row in rows])
     eps_hat = -slope

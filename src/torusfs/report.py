@@ -104,10 +104,10 @@ def _drift(values) -> float:
     return float(v.max() / v.min() - 1.0) if v.min() > 0 else float("inf")
 
 
-def _best(trials, ratio) -> float:
-    """Largest ratio(trial) over the trials, from 0.0; a None ratio (zero denominator) is skipped."""
+def _best(ratios) -> float:
+    """Largest of the per-trial ratios, in trial order from 0.0; a None ratio (zero denominator) is skipped."""
     best = 0.0
-    for r in map(ratio, trials):
+    for r in ratios:
         if r is not None:
             best = max(best, r)
     return best

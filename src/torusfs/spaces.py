@@ -105,10 +105,14 @@ def triebel_norm(f: GridFunction, partition: LPPartition, sp: SpaceParams, overs
     _check_resolution(f, partition)
     if oversample > 1:
         f = upsample(f, oversample)
-    stack = _band_stack(f, partition)
-    weights = 2.0 ** (sp.s * np.arange(partition.J + 1)).reshape((-1,) + (1,) * f.grid.dim)
+    return _triebel_from_stack(_band_stack(f, partition), f.grid, sp)
+
+
+def _triebel_from_stack(stack: np.ndarray, grid: Grid, sp: SpaceParams) -> float:
+    """triebel_norm from the band stack |Lambda_k f|, k = 0..J: the weights 2^{sk}, the l^q sum and the L^p norm."""
+    weights = 2.0 ** (sp.s * np.arange(len(stack))).reshape((-1,) + (1,) * grid.dim)
     combined = _lq(weights * stack, sp.q, axis=0)
-    return GridFunction.from_samples(f.grid, combined).lp_norm(sp.p)
+    return GridFunction.from_samples(grid, combined).lp_norm(sp.p)
 
 
 def triebel_infty_norm(f: GridFunction, partition: LPPartition, s: float, q: float) -> float:
@@ -379,7 +383,8 @@ def norm_equivalence_audit(
     @cache
     def draw(grid, trial):
         f = band_limited_function(grid, radius, np.random.default_rng([seed, trial]), kind="random")
-        return f, phi_analyze(f, fam, max_depth)
+        _check_resolution(f, partition)
+        return f, phi_analyze(f, fam, max_depth), _band_stack(f, partition)
 
     def report(sp):
         rows = []
@@ -387,8 +392,8 @@ def norm_equivalence_audit(
             grid = Grid(1, n)
             lo, hi = np.inf, 0.0
             for trial in range(trials):
-                f, coeffs = draw(grid, trial)
-                fn = triebel_norm(f, partition, sp) if sp.family == "triebel" else besov_norm(f, partition, sp)
+                f, coeffs, stack = draw(grid, trial)
+                fn = _triebel_from_stack(stack, grid, sp) if sp.family == "triebel" else besov_norm(f, partition, sp)
                 if fn == 0:
                     continue
                 ratio = sequence_norm(coeffs, sp) / fn

@@ -376,6 +376,21 @@ def test_audit_peetre_rejects_nonpositive_t_without_a_traceback(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("t, d", [(2, 1), (3.5, 1), (4, 2)])
+def test_audit_peetre_rejects_t_from_2d_before_any_work(tmp_path, capsys, monkeypatch, t, d):
+    # the necessity run takes sigma = d/t - 1/2, which is not positive once t >= 2d
+    from torusfs import maximal
+
+    monkeypatch.setattr(maximal, "_band_spectrum", lambda *args: pytest.fail("an input was drawn"))
+    cfg = tmp_path / "peetre.json"
+    cfg.write_text(json.dumps({"t": t, "d": d}))
+    assert main(["audit", "--suite", "peetre", "--config", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    bound = f"t must be in (0, 2d) = (0, {2 * d}): the necessity run's sigma = d/t - 1/2 must be positive"
+    assert err == f"audit peetre raised: {bound}\naudit: 1 of 1 suites raised: peetre\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_merging_and_errors(tmp_path, sample_input):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"space": "F", "s": 0.0, "p": 2.0, "q": 2.0, "input": str(sample_input)}))

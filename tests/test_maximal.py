@@ -155,23 +155,26 @@ def test_peetre_constant_and_large_sigma():
     assert np.max(np.abs(out.samples.real - np.abs(f.samples))) < 1e-10
 
 
-def brute_peetre(f, params):
-    """max over every lattice shift s of w(s) |f(x + s)|, with no early stop."""
-    a = np.abs(f.samples)
-    n, d = f.grid.n, f.grid.dim
+def brute_peetre_lines(a, grid, params):
+    """max over every lattice shift s of w(s) a(x + s), with no early stop, for each line of a stack a."""
+    n, d = grid.n, grid.dim
     k = np.arange(n)
     axis = np.minimum(k / n, 1.0 - k / n)
     dist = axis if d == 1 else np.hypot(axis[:, None], axis[None, :])
     w = (1.0 + params.r * dist) ** (-params.sigma)
     wrap = (k[:, None] + k[None, :]) % n  # wrap[s, x] = x + s mod n
     if d == 1:
-        out = (w[:, None] * a[wrap]).max(axis=0)
-    else:
-        out = np.zeros(a.shape)
-        for s0 in range(n):
-            shifted = a[wrap[s0]][:, wrap]  # shifted[x0, s1, x1] = a[x0 + s0, x1 + s1]
-            np.maximum(out, (w[s0][None, :, None] * shifted).max(axis=1), out=out)
-    return GridFunction.from_samples(f.grid, out)
+        return (w[:, None] * a[:, wrap]).max(axis=1)
+    out = np.zeros(a.shape)
+    for s0 in range(n):
+        shifted = a[:, wrap[s0]][:, :, wrap]  # shifted[l, x0, s1, x1] = a[l, x0 + s0, x1 + s1]
+        np.maximum(out, (w[s0][None, None, :, None] * shifted).max(axis=2), out=out)
+    return out
+
+
+def brute_peetre(f, params):
+    """brute_peetre_lines on one line."""
+    return GridFunction.from_samples(f.grid, brute_peetre_lines(np.abs(f.samples)[None], f.grid, params)[0])
 
 
 def test_brute_peetre_matches_pointwise_sup():
@@ -215,6 +218,59 @@ def test_peetre_brute_force_oracle(case):
     assert np.array_equal(peetre_maximal(f, params).samples, brute_peetre(f, params).samples)
 
 
+def _line(kind, shape, rng):
+    """One line of a kernel stack: random, one spike, constant or zero samples."""
+    if kind == "random":
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "spike":
+        line = np.zeros(shape, dtype=complex)
+        line[tuple(rng.integers(shape[0], size=len(shape)))] = rng.uniform(0.5, 2.0)
+        return line
+    if kind == "constant":
+        return np.full(shape, complex(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)))
+    return np.zeros(shape, dtype=complex)
+
+
+@st.composite
+def kernel_stacks(draw):
+    f, params = draw(peetre_cases())
+    kinds = draw(st.lists(st.sampled_from(["random", "spike", "constant", "zero"]), min_size=1, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.stack([_line(kind, f.grid.shape, rng) for kind in kinds])
+    caps = {name: draw(st.sampled_from([1, 7, 64, 2**12, None])) for name in ("_SCAN_BLOCK_POINTS", "_BOX_BLOCK_POINTS", "_BOX_CHUNK_POINTS")}
+    return f.grid, stack, params, caps
+
+
+@settings(deadline=None, max_examples=40)
+@given(kernel_stacks(), st.sampled_from([0.5, 1.0, 2.0]), st.integers(1, 4))
+def test_stack_kernels_equal_per_line_calls(case, t, n_cut):
+    # each line of a stack, with every cap small or as it is, gets the bits of a call on that line alone
+    grid, stack, params, caps = case
+    lines = [GridFunction.from_samples(grid, line) for line in stack]
+    expected = {
+        "peetre": [peetre_maximal(f, params).samples.real for f in lines],
+        "centered": [hl_maximal(f, "centered", t).samples.real for f in lines],
+        "dyadic": [hl_maximal(f, "dyadic", t).samples.real for f in lines],
+        "sharp": [dyadic_sharp(f).samples.real for f in lines],
+        "vector": vector_sharp(lines[::-1], t, n_cut, k0=1).samples.real,  # the stack's lines as bands
+        "vector-lines": [vector_sharp(lines[:1] + [f], t, n_cut, k0=1).samples.real for f in lines],
+    }
+    with pytest.MonkeyPatch.context() as mp:
+        for name, cap in caps.items():
+            if cap is not None:
+                mp.setattr(maximal, name, cap)
+        got = {
+            "peetre": maximal._peetre_lines(np.abs(stack), grid, params),
+            "centered": maximal._hl_lines(np.abs(stack), "centered", t),
+            "dyadic": maximal._hl_lines(np.abs(stack), "dyadic", t),
+            "sharp": maximal._sharp_lines(stack),
+            "vector": maximal._vector_sharp_lines(stack[::-1, None], t, n_cut, 1)[0],
+            "vector-lines": maximal._vector_sharp_lines(np.stack([np.broadcast_to(stack[0], stack.shape), stack]), t, n_cut, 1),
+        }
+    for name, want in expected.items():
+        assert np.array_equal(got[name], np.asarray(want)), name
+
+
 def test_maximal_audit_reports_match_brute_force_scan(tmp_path, monkeypatch):
     suites = ("peetre", "vector-maximal", "cube-tail", "sharp-domination")
 
@@ -223,8 +279,10 @@ def test_maximal_audit_reports_match_brute_force_scan(tmp_path, monkeypatch):
             assert cli.main(["audit", "--suite", suite, "--trials", "2", "--seed", "3", "--outdir", str(outdir)]) == 0
 
     run(tmp_path / "scan")
-    monkeypatch.setattr(maximal, "peetre_maximal", brute_peetre)
+    lines = []
+    monkeypatch.setattr(maximal, "_peetre_lines", lambda a, grid, params: lines.append(len(a)) or brute_peetre_lines(a, grid, params))
     run(tmp_path / "brute")
+    assert sum(lines) > len(lines) > 0  # the audits reached the oracle, with stacks of more than one line
     names = sorted(p.name for p in (tmp_path / "scan").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "brute").iterdir())
     assert len(names) == 14
@@ -249,9 +307,9 @@ def _reference_band_family(grid, ks, seed, trial):
 
 
 def _reference_band_stacks(seed, sigma, q):
-    """Stacks rebuilt at every sweep point from the whole family, zero bands of the cube-tail witness included."""
+    """Stacks rebuilt one trial at a time at every sweep point from the whole family, by per-line calls."""
 
-    def stacks(grid, ks, trial):
+    def stack(grid, ks, trial):
         if trial < 0:
             anchor = np.full(grid.dim, 0.5 + 3.0 / grid.n)
             fam = [GridFunction.from_spectrum(grid, np.zeros(grid.shape, dtype=complex)) for _ in ks[:-1]]
@@ -264,6 +322,10 @@ def _reference_band_stacks(seed, sigma, q):
             plain += np.abs(u.samples) ** q
             maxed += peetre_maximal(u, PeetreParams(sigma, 2.0**k)).samples.real ** q
         return plain, maxed
+
+    def stacks(grid, ks, trials):
+        plain, maxed = zip(*(stack(grid, list(ks), trial) for trial in trials))
+        return np.stack(plain), np.stack(maxed)
 
     return stacks
 
@@ -278,9 +340,16 @@ def test_shared_band_stacks_match_per_sweep_point_reference(tmp_path, monkeypatc
                 assert cli.main(args) == 0
 
     run(tmp_path / "shared")
-    monkeypatch.setattr(maximal, "_band_stacks", _reference_band_stacks)
-    monkeypatch.setattr(maximal, "_band", lambda grid, k, seed, trial: _reference_band_family(grid, [k], seed, trial)[0])
+    built, bands = [], []
+    monkeypatch.setattr(maximal, "_band_stacks", lambda *args: built.append(args) or _reference_band_stacks(*args))
+
+    def band(grid, k, seed, trial):
+        bands.append(trial)
+        return _reference_band_family(grid, [k], seed, trial)[0].spectrum
+
+    monkeypatch.setattr(maximal, "_band", band)
     run(tmp_path / "reference")
+    assert built and bands  # both reference seams were reached
     for seed in ("3", "8"):
         names = sorted(p.name for p in (tmp_path / "shared" / seed).iterdir())
         assert names == sorted(p.name for p in (tmp_path / "reference" / seed).iterdir())
@@ -289,28 +358,29 @@ def test_shared_band_stacks_match_per_sweep_point_reference(tmp_path, monkeypatc
             assert (tmp_path / "shared" / seed / name).read_bytes() == (tmp_path / "reference" / seed / name).read_bytes(), name
 
 
-def _count_peetre_calls(monkeypatch):
-    calls = []
-    scan = maximal.peetre_maximal
-    monkeypatch.setattr(maximal, "peetre_maximal", lambda f, params: calls.append(params) or scan(f, params))
-    return calls
+def _count_peetre_lines(monkeypatch):
+    """The number of lines of each stack the audits pass to the Peetre scan, one entry per call."""
+    lines = []
+    scan = maximal._peetre_lines
+    monkeypatch.setattr(maximal, "_peetre_lines", lambda a, grid, params: lines.append(len(a)) or scan(a, grid, params))
+    return lines
 
 
 def test_band_family_audits_compute_each_maximal_function_once(tmp_path, monkeypatch):
-    # every (grid, band, trial) pair once per audit call: 2 audits x 2 grids x 5 bands x 10 trials for
+    # every (grid, band, trial) line once per audit call: 2 audits x 2 grids x 5 bands x 10 trials for
     # vector-maximal, 2 x (6 bands x 6 trials + 3 witnesses) for cube-tail; peetre and sharp-domination as before
     expected = {"peetre": 120, "vector-maximal": 200, "cube-tail": 78, "sharp-domination": 100}
-    calls = _count_peetre_calls(monkeypatch)
+    lines = _count_peetre_lines(monkeypatch)
     for suite, count in expected.items():
-        calls.clear()
+        lines.clear()
         assert cli.main(["audit", "--suite", suite, "--seed", "0", "--outdir", str(tmp_path)]) == 0
-        assert len(calls) == count, suite
+        assert sum(lines) == count, suite
 
 
 def test_band_family_audits_run_on_defaults_and_check_bands_first(monkeypatch):
     rep = audit_fs_vector_inequality()
     assert rep.params["J_list"] == [3, 4, 5]
-    calls = _count_peetre_calls(monkeypatch)
+    calls = _count_peetre_lines(monkeypatch)
     too_fine = [
         lambda: audit_peetre_domination(bands=5),
         lambda: audit_fs_vector_inequality(J_list=(3, 4, 5, 6)),

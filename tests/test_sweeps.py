@@ -93,29 +93,29 @@ def test_sweep_matches_single_value_calls_and_unshared_reference(seed):
         assert [rep.table for rep in swept] == [reference(v, seed) for v in values], name
 
 
-def _counting(monkeypatch, module, name, counts, label=None):
+def _counting(monkeypatch, module, name, counts, label=None, stack=False):
+    """Count each call of module.name under label(*args), or each line of its first argument for a stack kernel."""
     inner = getattr(module, name)
 
     def counted(*args, **kwargs):
-        counts[label(*args, **kwargs) if label else name] += 1
+        counts[label(*args, **kwargs) if label else name] += len(args[0]) if stack else 1
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
-    return counted
 
 
 def test_sweeps_compute_each_shared_quantity_once_per_call(tmp_path, monkeypatch):
     # defaults: 2 grids x 3 bands x 10 trials (peetre), 2 grids x 30 trials (fefferman-stein), 2 grids x 20 trials (frame)
     expected = {
-        "peetre": {"band_limited_function": 60, "hl_maximal(centered)": 60, "peetre_maximal": 120},
-        "fefferman-stein": {"band_limited_function": 60, "hl_maximal(dyadic)": 60, "dyadic_sharp": 60},
-        "frame": {"band_limited_function": 40, "phi_analyze": 40},
+        "peetre": {"_band_spectrum": 60, "_hl_lines(centered)": 60, "_peetre_lines": 120},
+        "fefferman-stein": {"_band_spectrum": 60, "_hl_lines(dyadic)": 60, "_sharp_lines": 60},
+        "frame": {"_band_spectrum": 40, "phi_analyze": 40, "_band_stack": 40},
     }
     counts = Counter()
-    draw = _counting(monkeypatch, maximal, "band_limited_function", counts)
-    monkeypatch.setattr(spaces, "band_limited_function", draw)
-    _counting(monkeypatch, maximal, "hl_maximal", counts, lambda f, variant="centered", t=1.0: f"hl_maximal({variant})")
-    for module, name in ((maximal, "peetre_maximal"), (maximal, "dyadic_sharp"), (spaces, "phi_analyze")):
+    _counting(monkeypatch, maximal, "_hl_lines", counts, lambda a, variant, t: f"_hl_lines({variant})", stack=True)
+    for name in ("_peetre_lines", "_sharp_lines"):
+        _counting(monkeypatch, maximal, name, counts, stack=True)
+    for module, name in ((maximal, "_band_spectrum"), (spaces, "phi_analyze"), (spaces, "_band_stack")):
         _counting(monkeypatch, module, name, counts)
     for suite, count in expected.items():
         for _ in range(2):  # a second call draws and computes everything again
@@ -138,7 +138,6 @@ def test_sweeps_check_every_value_before_any_work(monkeypatch, audit, message):
     def unreachable(*args, **kwargs):
         raise AssertionError("an input was drawn before every swept value was checked")
 
-    monkeypatch.setattr(maximal, "band_limited_function", unreachable)
-    monkeypatch.setattr(spaces, "band_limited_function", unreachable)
+    monkeypatch.setattr(maximal, "_band_spectrum", unreachable)
     with pytest.raises(ValueError, match=message):
         audit()
